@@ -206,28 +206,26 @@ def cmd_entangle(args):
     _emit_json(payload, args)
 
 
+def _concurrence_row(nc: float, ns: float, n: int) -> dict:
+    tb = reduced_two_body(StateParams(nc=nc, ns=ns, nth=0.0), n)
+    c = concurrence(tb)
+    cmax = concurrence_max(n)
+    d, _ = delta_criterion(tb)
+    return {
+        "nc": nc,
+        "ns": ns,
+        "n": n,
+        "concurrence": c,
+        "c_max": cmax,
+        "ratio": c / cmax,
+        "delta": d,
+    }
+
+
 def cmd_sweep(args):
-    rows = []
     ns_grid = [float(x) for x in args.ns_grid.split(",")]
     n_grid = [int(x) for x in args.n_grid.split(",")]
-    for n in n_grid:
-        for ns in ns_grid:
-            p = StateParams(nc=args.nc, ns=ns, nth=0.0)
-            tb = reduced_two_body(p, n)
-            c = concurrence(tb)
-            cmax = concurrence_max(n)
-            d, _ = delta_criterion(tb)
-            rows.append(
-                {
-                    "nc": args.nc,
-                    "ns": ns,
-                    "n": n,
-                    "concurrence": c,
-                    "c_max": cmax,
-                    "ratio": c / cmax,
-                    "delta": d,
-                }
-            )
+    rows = [_concurrence_row(args.nc, ns, n) for n in n_grid for ns in ns_grid]
     _emit_csv(rows, args)
 
 
@@ -248,12 +246,15 @@ def cmd_depth(args):
     )
 
 
-def cmd_depth_contour(args):
-    rows = [
+def _contour_rows(resolution: int) -> list[dict]:
+    return [
         {"ns": ns, "nth": nth, "fraction": f, "is_grey": g}
-        for ns, nth, f, g in contour_data(resolution=args.resolution)
+        for ns, nth, f, g in contour_data(resolution=resolution)
     ]
-    _emit_csv(rows, args)
+
+
+def cmd_depth_contour(args):
+    _emit_csv(_contour_rows(args.resolution), args)
 
 
 def _parse_schedule(sched: str):
@@ -342,37 +343,17 @@ def cmd_oracle(args):
 
 def cmd_figure_data(args):
     if args.figure == "fig2":
-        rows = [
-            {"ns": ns, "nth": nth, "fraction": f, "is_grey": g}
-            for ns, nth, f, g in contour_data(resolution=args.resolution)
-        ]
+        rows = _contour_rows(args.resolution)
     elif args.figure == "fig4":
         rows = []
         for n in (2, 17, 50, 100):
             for ns in (0.01, 0.03, 0.1, 0.3, 1.0, 1.7):
                 for nc in (2.0, 5.0, 10.0, 17.0, 30.0, 50.0, 100.0, 200.0):
-                    p = StateParams(nc=nc, ns=ns, nth=0.0)
-                    if n < 2 or nc <= 0:
-                        continue
-                    tb = reduced_two_body(p, n)
-                    c = concurrence(tb)
-                    cmax = concurrence_max(n)
-                    d, _ = delta_criterion(tb)
+                    row = _concurrence_row(nc, ns, n)
                     # line weight: Poisson(nc) at n over Poisson(n) at n
                     logw = (-nc + n * math.log(nc)) - (-n + n * math.log(n))
-                    weight = math.exp(logw)
-                    rows.append(
-                        {
-                            "nc": nc,
-                            "ns": ns,
-                            "n": n,
-                            "concurrence": c,
-                            "c_max": cmax,
-                            "ratio": c / cmax,
-                            "delta": d,
-                            "weight": weight,
-                        }
-                    )
+                    row["weight"] = math.exp(logw)
+                    rows.append(row)
     else:  # fig5 -> bipartition negativity sweep (PPT substitute, not the SDP witness)
         rows = []
         for n in (3, 4, 5, 6):

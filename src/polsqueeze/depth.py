@@ -127,7 +127,6 @@ def _ground_converged(j: float, mu: float, tol: float = 1e-10) -> tuple[float, f
 
 
 _MU_GRID = np.logspace(-4, 4, 400)
-_boundary_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def boundary_curve(j: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +135,6 @@ def boundary_curve(j: float) -> tuple[np.ndarray, np.ndarray]:
     Traced parametrically over a log-spaced grid of the multiplier mu; both
     arrays are sorted by zeta.
     """
-    cached = _boundary_cache.get(j)
-    if cached is not None:
-        return cached
     zetas = np.empty(_MU_GRID.size)
     upsilons = np.empty(_MU_GRID.size)
     for i, mu in enumerate(_MU_GRID):
@@ -146,9 +142,7 @@ def boundary_curve(j: float) -> tuple[np.ndarray, np.ndarray]:
         zetas[i] = jz / j
         upsilons[i] = jx2 / j
     order = np.argsort(zetas)
-    out = (zetas[order], upsilons[order])
-    _boundary_cache[j] = out
-    return out
+    return zetas[order], upsilons[order]
 
 
 def _upsilon_min(j: float, zeta: float) -> float:

@@ -9,12 +9,11 @@ exact diagonal of the N-photon observable matrix in the shot's analysis
 basis, and finally scatters the photons over analyzers.
 
 All analyzers share one basis per shot; that keeps the outcome distribution
-exchangeable, so it depends only on the count of "second output" clicks and
-is sampled exactly from the compressed moment table.  Rotated-basis count
-distributions are genuinely sub-binomial for squeezed input (that is the
-entanglement signature), so no independent-photon shortcut is taken; the
-quadratic forms are evaluated in extended precision to tame the alternating
-basis-change sums.
+exchangeable, so it depends only on the count of "second output" clicks.
+Rotated-basis count distributions are genuinely sub-binomial for squeezed
+input (that is the entanglement signature), so no independent-photon
+shortcut is taken: each count law is the Born rule of `odm.Odm` for one
+product outcome, times the number of outcome patterns with that count.
 
 Reconstruction averages every ordered pair of photons in every shot, per
 setting, and linearly inverts the pooled pair frequencies into the X-shaped
@@ -28,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import correlators
 from .errors import IncompleteSchedule, InvalidShotCount
+from .odm import _odm_block, _scaled_moments, born_probability
 from .reduced import TwoBodyOdm, pulse_number_pmf, default_n_cutoff
 from .state import StateParams, purify
 
@@ -108,7 +107,9 @@ def _thinned_pulse_pmf(params: StateParams, efficiency: float) -> np.ndarray:
 
     Thermal parameters are replaced by their pure preimage with the state
     loss folded into the thinning (each photon of the pure pulse survives
-    independently).
+    independently).  The thinned law is the coefficient vector of the
+    generating function sum_n p_n (1 - eta + eta z)^n, expanded by Horner's
+    rule; every term is non-negative.
     """
     eta = efficiency
     p = params
@@ -119,104 +120,47 @@ def _thinned_pulse_pmf(params: StateParams, efficiency: float) -> np.ndarray:
     base = pulse_number_pmf(p, n_max)
     if eta == 1.0:
         return base
-    from scipy.stats import binom
-
     out = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        if base[n] < 1e-300:
-            continue
-        out[: n + 1] += base[n] * binom.pmf(np.arange(n + 1), n, eta)
+    for n in range(n_max, -1, -1):
+        out[1:] = out[1:] * (1.0 - eta) + out[:-1] * eta
+        out[0] = out[0] * (1.0 - eta) + base[n]
     return out / out.sum()
 
 
 class _CountSampler:
-    """Exact P(count of outcome-1 | N) tables per analysis basis."""
+    """Exact P(count of outcome-1 | N) tables per analysis basis.
+
+    All photon numbers share one scaled moment table, grown to the largest N
+    asked for; HV reads only its diagonal, so only diagonal moments are made.
+    """
 
     def __init__(self, params: StateParams, basis: str):
         if params.nc == 0.0:
             raise ValueError("detection model needs nc > 0 (bright reference beam)")
-        p = params if params.nth == 0.0 else purify(params)[0]
-        self.params = p
+        self.params = params if params.nth == 0.0 else purify(params)[0]
         self.basis = basis
-        self.table = correlators.table_for(p)
+        self._moments = np.zeros((0, 0))
         self._cache: dict[int, np.ndarray] = {}
 
     def pmf(self, n: int) -> np.ndarray:
         out = self._cache.get(n)
         if out is None:
-            out = self._build(n)
-            self._cache[n] = out
-        return out
-
-    def _gtable(self, n: int) -> np.ndarray:
-        g = np.zeros((n + 1, n + 1), dtype=np.longdouble)
-        import mpmath as mp
-
-        with mp.workdps(60 + n // 2):
-            nc = mp.mpf(self.params.nc)
-            # iterate grouped by the order difference so coefficient rows
-            # shared across same-difference moments stay cache hot
-            for t in range(n // 2 + 1):
-                for v in range(n + 1 - 2 * t):
-                    w = v + 2 * t
-                    val = self.table.value(v, w) * nc ** (-(v + w) // 2)
-                    g[v, w] = np.longdouble(mp.nstr(val, 25, strip_zeros=False))
-                    g[w, v] = g[v, w]
-        return g
-
-    def _build(self, n: int) -> np.ndarray:
-        if self.basis == "HV":
-            import mpmath as mp
-
-            with mp.workdps(60 + n // 2):
-                nc = mp.mpf(self.params.nc)
+            if n >= len(self._moments):
+                self._moments = _scaled_moments(self.params, n, self.basis == "HV")
+            odm = _odm_block(self._moments, n)
+            if self.basis == "HV":
+                p = odm.vcount_probabilities()
+            else:
+                col0, col1 = SETTING_BASES[self.basis].T
                 p = np.array(
                     [
-                        float(self.table.value(v, v) * nc ** (-v) * math.comb(n, v))
+                        math.comb(n, v)
+                        * born_probability(odm, [col0] * (n - v) + [col1] * v)
                         for v in range(n + 1)
                     ]
                 )
-            return p / p.sum()
-        basis = SETTING_BASES[self.basis]
-        g = self._full_g(n)
-        c0, d0 = np.conj(basis[0, 0]), np.conj(basis[1, 0])
-        c1, d1 = np.conj(basis[0, 1]), np.conj(basis[1, 1])
-        p = np.zeros(n + 1, dtype=np.longdouble)
-        for v in range(n + 1):
-            e = _pattern_poly(c0, d0, n - v, c1, d1, v)
-            q = e.conj() @ g @ e
-            p[v] = max(np.longdouble(0.0), q.real) * np.longdouble(math.comb(n, v))
-        p = np.asarray(p / p.sum(), dtype=float)
-        p = np.clip(p, 0.0, None)
-        return p / p.sum()
-
-    _g_full: np.ndarray | None = None
-    _g_size: int = -1
-
-    def _full_g(self, n: int) -> np.ndarray:
-        if self._g_full is None or self._g_size < n:
-            self._g_full = self._gtable(n)
-            self._g_size = n
-        return self._g_full[: n + 1, : n + 1]
-
-
-def _pattern_poly(c0, d0, k0: int, c1, d1, k1: int) -> np.ndarray:
-    """Coefficients of (c0 + d0 x)^k0 (c1 + d1 x)^k1 in extended precision."""
-    out = _binom_poly(c0, d0, k0)
-    if k1:
-        out = np.convolve(out, _binom_poly(c1, d1, k1))
-    return out
-
-
-def _binom_poly(c, d, k: int) -> np.ndarray:
-    coeff = np.zeros(k + 1, dtype=np.clongdouble)
-    for j in range(k + 1):
-        coeff[j] = (
-            np.clongdouble(math.comb(k, j))
-            * np.clongdouble(c) ** (k - j)
-            * np.clongdouble(d) ** j
-        )
-    return coeff
+            out = self._cache[n] = p / p.sum()
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,39 @@ class Odm:
 
     def vcount_probabilities(self) -> np.ndarray:
         """P(v vertical photons) over the computational basis, length N+1."""
-        binom = np.array([math.comb(self.n, v) for v in range(self.n + 1)])
+        binom = np.array([float(math.comb(self.n, v)) for v in range(self.n + 1)])
         p = binom * np.diag(self.table) / self.trace
         return np.clip(p, 0.0, None)
+
+
+def _scaled_moments(params: StateParams, n_max: int, diagonal: bool = False) -> np.ndarray:
+    """Float table nc^(-(v+w)/2) <(a^dag)^v a^w> for v, w <= n_max.
+
+    No entry depends on the photon number, so the top-left (N+1) block is
+    the `Odm.table` of N photons for every N <= n_max (see `_odm_block`).
+    ``diagonal`` fills only the v = w moments.  Iterates grouped by the order
+    difference so coefficient rows shared by those moments stay cache hot.
+    """
+    tab = correlators.table_for(params)
+    table = np.zeros((n_max + 1, n_max + 1))
+    with mp.workdps(60 + n_max):
+        nc = mp.mpf(params.nc)
+        for t in range(1 if diagonal else n_max // 2 + 1):
+            for v in range(n_max + 1 - 2 * t):
+                w = v + 2 * t
+                # nc^((2N - v - w)/2) * E[v, w] scaled by nc^-N
+                table[v, w] = float(tab.value(v, w) * nc ** (-(v + w) // 2))
+                table[w, v] = table[v, w]
+    return table
+
+
+def _odm_block(table: np.ndarray, n_photons: int) -> Odm:
+    """`Odm` of ``n_photons`` from the top-left block of a `_scaled_moments` table."""
+    block = table[: n_photons + 1, : n_photons + 1]
+    trace = float(
+        sum(math.comb(n_photons, v) * block[v, v] for v in range(n_photons + 1))
+    )
+    return Odm(n=n_photons, table=block, trace=trace)
 
 
 def build_odm(params: StateParams, n_photons: int) -> Odm:
@@ -77,23 +107,7 @@ def build_odm(params: StateParams, n_photons: int) -> Odm:
         )
     if params.nc == 0.0:
         raise ValueError("build_odm needs nc > 0 (no detected H reference beam)")
-    tab = correlators.table_for(params)
-    size = n_photons + 1
-    with mp.workdps(60 + n_photons):
-        nc = mp.mpf(params.nc)
-        table = np.zeros((size, size))
-        for v in range(size):
-            for w in range(v, size):
-                if (w - v) % 2:
-                    continue
-                # nc^((2N - v - w)/2) * E[v, w] scaled by nc^-N
-                val = tab.value(v, w) * nc ** (-(v + w) // 2)
-                table[v, w] = float(val)
-                table[w, v] = table[v, w]
-    trace = float(
-        sum(math.comb(n_photons, v) * table[v, v] for v in range(size))
-    )
-    return Odm(n=n_photons, table=table, trace=trace)
+    return _odm_block(_scaled_moments(params, n_photons), n_photons)
 
 
 def phase_average(odm: Odm) -> Odm:

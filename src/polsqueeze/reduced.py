@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from . import correlators
-from .errors import TooFewPhotons, UnsupportedThermal
+from .errors import OrderTooLarge, TooFewPhotons, UnsupportedThermal
 from .state import StateParams
 
 __all__ = [
@@ -51,15 +51,18 @@ class TwoBodyOdm:
 
 
 def reduced_two_body(params: StateParams, n_photons: int) -> TwoBodyOdm:
-    """Two-photon reduction of the N-photon observable matrix, O(N^2) moments.
+    """Two-photon reduction of the N-photon observable matrix.
 
     Equals the partial trace of the dense construction exactly for any pair
-    of retained photons; practical up to N of a few thousand.
+    of retained photons.  Needs moments up to order N, so N <= 256; larger N
+    raises OrderTooLarge.
     """
     if n_photons < 2:
         raise TooFewPhotons(f"need at least 2 photons, got {n_photons}")
-    if n_photons > 10_000:
-        raise ValueError("n_photons beyond the supported O(N^3) budget")
+    if n_photons > correlators.DEFAULT_MAX_ORDER:
+        raise OrderTooLarge(
+            f"n_photons must be <= {correlators.DEFAULT_MAX_ORDER}, got {n_photons}"
+        )
     if params.nc == 0.0:
         raise ValueError("reduced_two_body needs nc > 0")
     tab = correlators.table_for(params)
@@ -125,22 +128,20 @@ def _poisson_pmf(lam: float, n_max: int) -> np.ndarray:
 
 
 def photon_number_distribution(params: StateParams, n: int) -> float:
-    """P(N photons in the pulse) for a thermal-free state.
+    """P(N photons in the pulse) for a thermal-free state; see `pulse_number_pmf`.
 
-    Convolution of the Poisson coherent distribution with the even-only
-    squeezed-vacuum distribution.  Raises UnsupportedThermal when nth != 0.
+    Raises UnsupportedThermal when nth != 0.
     """
-    if params.nth != 0.0:
-        raise UnsupportedThermal("photon-number distribution defined for nth = 0 only")
-    if n < 0:
-        return 0.0
-    pois = _poisson_pmf(params.nc, n)
-    pairs = squeezed_pair_distribution(params.ns, n // 2)
-    return float(sum(pois[n - 2 * k] * pairs[k] for k in range(n // 2 + 1)))
+    pmf = pulse_number_pmf(params, max(n, 0))
+    return float(pmf[n]) if n >= 0 else 0.0
 
 
 def pulse_number_pmf(params: StateParams, n_max: int) -> np.ndarray:
-    """Vector of photon_number_distribution values for N = 0 .. n_max."""
+    """P(N photons in the pulse) for N = 0 .. n_max, thermal-free states only.
+
+    Convolution of the Poisson coherent distribution with the even-only
+    squeezed-vacuum distribution.
+    """
     if params.nth != 0.0:
         raise UnsupportedThermal("photon-number distribution defined for nth = 0 only")
     pois = _poisson_pmf(params.nc, n_max)

@@ -1,11 +1,19 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from polsqueeze import StateParams, reduced_two_body
+from polsqueeze import StateParams, build_odm, correlators, purify, reduced_two_body
 from polsqueeze.detect import (
     DEFAULT_SCHEDULE,
     DetectorArray,
     SETTING_BASES,
+    _CountSampler,
+    _thinned_pulse_pmf,
     exact_pair_probabilities,
     reconstruct_two_body,
     run_pair_tomography,
@@ -14,6 +22,7 @@ from polsqueeze.detect import (
     _theta_to_matrix,
 )
 from polsqueeze.errors import IncompleteSchedule, InvalidShotCount
+from polsqueeze.reduced import default_n_cutoff, pulse_number_pmf
 
 
 def test_shot_validation():
@@ -71,8 +80,6 @@ def test_vcount_statistics_match_observable_diagonal():
     counts = np.zeros(n + 1)
     for rec in simulate_shots(p, arr, shots, fixed_n=n):
         counts[rec.ones] += 1
-    from polsqueeze.detect import _CountSampler
-
     pv = _CountSampler(p, "HV").pmf(n)
     for v in range(n + 1):
         if pv[v] * shots < 5:
@@ -150,8 +157,6 @@ def test_loss_robustness_of_reconstruction():
 
 
 def test_rotated_count_distributions_are_normalized_and_subshot():
-    from polsqueeze.detect import _CountSampler
-
     n = 30
     p = StateParams(float(n), 0.3, 0.0)
     for label in ("DA", "RL"):
@@ -170,3 +175,57 @@ def test_rotated_count_distributions_are_normalized_and_subshot():
     q = exact_pair_probabilities(tb, "RL")
     yy = q[0] - q[1] - q[2] + q[3]
     assert (y_var - n) / (n * (n - 1)) == pytest.approx(yy, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("label", ["DA", "RL"])
+def test_rotated_count_law_matches_dense_born_rule(label):
+    p = StateParams(3.0, 0.3, 0.05)
+    sampler = _CountSampler(p, label)
+    pure = purify(p)[0]
+    for n in range(1, 9):
+        rho = build_odm(pure, n).dense()
+        u = SETTING_BASES[label]
+        for _ in range(n - 1):
+            u = np.kron(u, SETTING_BASES[label])
+        probs = np.real(np.diag(u.conj().T @ rho @ u))
+        ones = np.array([i.bit_count() for i in range(1 << n)])
+        expected = np.bincount(ones, weights=probs, minlength=n + 1)
+        assert sampler.pmf(n) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_hv_count_law_fills_only_diagonal_moments():
+    p = StateParams(6.0, 0.2345678, 0.0)  # ns unused elsewhere: a fresh table
+    _CountSampler(p, "HV").pmf(30)
+    filled = correlators.table_for(p)._values
+    assert filled and all(m == n for m, n in filled)
+
+
+def test_thinning_matches_binomial_sum():
+    p = StateParams(4.0, 0.3, 0.0)
+    eta = 0.55
+    base = pulse_number_pmf(p, default_n_cutoff(p))
+    direct = np.zeros(base.size)
+    for n, pn in enumerate(base):
+        for k in range(n + 1):
+            direct[k] += pn * math.comb(n, k) * eta**k * (1 - eta) ** (n - k)
+    direct /= direct.sum()
+    got = _thinned_pulse_pmf(p, eta)
+    keep = direct > 1e-12
+    assert got[keep] == pytest.approx(direct[keep], rel=1e-13)
+
+
+def test_lossy_pulse_sampling_does_not_import_scipy_stats():
+    code = (
+        "import sys\n"
+        "from polsqueeze import StateParams\n"
+        "from polsqueeze.detect import DetectorArray, simulate_shots\n"
+        "arr = DetectorArray(m=64, efficiency=0.5, rng_seed=1)\n"
+        "list(simulate_shots(StateParams(3.0, 0.1, 0.02), arr, 20))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

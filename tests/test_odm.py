@@ -13,6 +13,7 @@ from polsqueeze import (
     phase_average,
 )
 from polsqueeze.errors import DimensionTooLarge, NonNormalizedSetting
+from polsqueeze.odm import Odm
 
 H = (1.0, 0.0)
 V = (0.0, 1.0)
@@ -174,3 +175,17 @@ def test_phase_average():
     assert rho_dec[1, 2] == rho[1, 2]  # same V-count coherence survives
     again = phase_average(dec)
     assert np.allclose(again.dense(), rho_dec, atol=1e-16)
+
+
+def test_vcount_probabilities_at_large_n():
+    # independent photons, V with probability r/(1+r): a binomial count law
+    n, r = 100, 0.25
+    table = np.diag(r ** np.arange(n + 1))
+    odm = Odm(n=n, table=table, trace=(1.0 + r) ** n)
+    p = odm.vcount_probabilities()
+    assert p.dtype == np.float64
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    q = r / (1.0 + r)
+    v = np.arange(n + 1)
+    binom = np.array([math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in v])
+    assert np.allclose(p, binom, rtol=1e-12, atol=1e-300)
