@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import acceptance as acc
 from .depth import contour_data, depth_large_j, macroscopic_fraction
-from .detect import DetectorArray, run_pair_tomography
+from .detect import RNG_NAME, DetectorArray, run_pair_tomography, simulate_shots
 from .entanglement import (
     bipartition_negativity,
     concurrence,
@@ -274,8 +274,6 @@ def cmd_simulate(args):
     if args.records:
         from dataclasses import asdict
 
-        from .detect import simulate_shots
-
         lines = [json.dumps(_header(args))]
         for rec in simulate_shots(p, arr, args.shots):
             lines.append(json.dumps(asdict(rec)))
@@ -317,7 +315,7 @@ def cmd_simulate(args):
     )
     _emit_json(
         {
-            "rng": "philox4x64",
+            "rng": RNG_NAME,
             "matrix": res.matrix.matrix,
             "entry_se": res.entry_se,
             "delta_hat": res.delta_hat,

@@ -4,9 +4,11 @@ The beam is split symmetrically onto M polarization analyzers.  Per shot the
 simulator draws the detected photon number from the pulse distribution
 (binomially thinned by the channel transmission; thermal parameter sets are
 routed through their pure-state preimage, whose normalized coincidence
-observables are identical), then draws the N polarization outcomes from the
+observables are identical), then the count of outcome-1 clicks from the
 exact diagonal of the N-photon observable matrix in the shot's analysis
-basis, and finally scatters the photons over analyzers.
+basis, and finally the analyzer of each photon.  Shots are drawn in blocks
+of `_BLOCK` from one counter-based stream per block, keyed (seed, block
+index), so shot i depends only on (seed, i).
 
 All analyzers share one basis per shot; that keeps the outcome distribution
 exchangeable, so it depends only on the count of "second output" clicks.
@@ -23,11 +25,12 @@ two-photon matrix; bootstrap resampling of shots provides standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IncompleteSchedule, InvalidShotCount
+from .correlators import DEFAULT_MAX_ORDER
+from .errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge
 from .odm import _odm_block, _scaled_moments, born_probability
 from .reduced import TwoBodyOdm, pulse_number_pmf, default_n_cutoff
 from .state import StateParams, purify
@@ -53,7 +56,8 @@ SETTING_BASES: dict[str, np.ndarray] = {
 
 DEFAULT_SCHEDULE = ("HV", "DA", "RL")
 
-RNG_NAME = "philox4x64"  # counter-based; per-shot streams keyed (seed, index)
+RNG_NAME = "philox4x64"  # counter-based; one stream per shot block, keyed (seed, block)
+_BLOCK = 4096  # shots per stream, each stream always drawn at full block length
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,10 @@ class DetectorArray:
     efficiency: float = 1.0
     basis: str = "HV"
     rng_seed: int = 0
-    assign_with_replacement: bool = True
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one analyzer")
+        if not 1 <= self.m <= 2**63 // _BLOCK:  # collision keys shot * m + analyzer fit int64
+            raise ValueError(f"need 1 to {2**63 // _BLOCK} analyzers")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
         if self.basis not in SETTING_BASES:
@@ -109,7 +112,8 @@ def _thinned_pulse_pmf(params: StateParams, efficiency: float) -> np.ndarray:
     loss folded into the thinning (each photon of the pure pulse survives
     independently).  The thinned law is the coefficient vector of the
     generating function sum_n p_n (1 - eta + eta z)^n, expanded by Horner's
-    rule; every term is non-negative.
+    rule; every term is non-negative.  The result is normalised over the
+    cutoff.
     """
     eta = efficiency
     p = params
@@ -117,13 +121,12 @@ def _thinned_pulse_pmf(params: StateParams, efficiency: float) -> np.ndarray:
         p, eta_state = purify(params)
         eta = eta * eta_state
     n_max = default_n_cutoff(p)
-    base = pulse_number_pmf(p, n_max)
-    if eta == 1.0:
-        return base
-    out = np.zeros(n_max + 1)
-    for n in range(n_max, -1, -1):
-        out[1:] = out[1:] * (1.0 - eta) + out[:-1] * eta
-        out[0] = out[0] * (1.0 - eta) + base[n]
+    out = pulse_number_pmf(p, n_max)
+    if eta != 1.0:
+        base, out = out, np.zeros(n_max + 1)
+        for n in range(n_max, -1, -1):
+            out[1:] = out[1:] * (1.0 - eta) + out[:-1] * eta
+            out[0] = out[0] * (1.0 - eta) + base[n]
     return out / out.sum()
 
 
@@ -145,6 +148,10 @@ class _CountSampler:
     def pmf(self, n: int) -> np.ndarray:
         out = self._cache.get(n)
         if out is None:
+            if n > DEFAULT_MAX_ORDER:
+                raise OrderTooLarge(
+                    f"detected photon number must be <= {DEFAULT_MAX_ORDER}, got {n}"
+                )
             if n >= len(self._moments):
                 self._moments = _scaled_moments(self.params, n, self.basis == "HV")
             odm = _odm_block(self._moments, n)
@@ -167,55 +174,59 @@ class _CountSampler:
 # shot generation
 
 
-def _shot_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, index]))
+def _inverse_cdf(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices drawn from ``pmf`` by the uniforms ``u`` in [0, 1)."""
+    cdf = np.cumsum(pmf)
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
 def simulate_shots(
     params: StateParams, array: DetectorArray, shots: int, fixed_n: int | None = None
 ):
-    """Yield `ShotRecord`s; deterministic given (array.rng_seed, shot index).
+    """Yield `ShotRecord`s; shot i depends only on (array.rng_seed, i).
 
-    Per shot: detected N from the thinned pulse law, the outcome-1 count from
-    the exact observable-matrix diagonal in ``array.basis``, outcome labels
-    scattered uniformly over photons, and analyzer indices drawn uniformly
-    (with replacement when configured, flagging collisions).  ``fixed_n``
-    post-selects the detected photon number instead of sampling it.
+    Each block of `_BLOCK` shots comes from one Philox stream keyed
+    (seed, block index) and always drawn at full block length, so the
+    records of a run are a prefix of those of any longer run.  Per shot:
+    detected N by inverse CDF of the thinned pulse law, the outcome-1 count
+    by inverse CDF of the exact count law in ``array.basis``, and N analyzer
+    indices drawn uniformly with replacement; two photons on one analyzer
+    flag the shot collided.  The first ``ones`` photons carry outcome 1,
+    which has the law of a uniform scatter because the analyzer indices are
+    i.i.d.  ``fixed_n`` post-selects the detected photon number instead of
+    sampling it.
     """
     if shots < 1:
         raise InvalidShotCount(f"shots must be >= 1, got {shots}")
     if fixed_n is None:
         pulse = _thinned_pulse_pmf(params, array.efficiency)
-        n_support = np.nonzero(pulse > 1e-12)[0]
-        n_top = int(n_support.max()) if n_support.size else 0
+        n_top = int(np.nonzero(pulse > 1e-12)[0][-1])
     else:
-        pulse = None
         n_top = fixed_n
     sampler = _CountSampler(params, array.basis)
     if n_top:
-        sampler.pmf(n_top)  # warm the largest table; per-shot work is lookups
-    for idx in range(shots):
-        rng = _shot_rng(array.rng_seed, idx)
-        n = fixed_n if fixed_n is not None else int(rng.choice(pulse.size, p=pulse))
-        if n == 0:
-            yield ShotRecord(n_detected=0, outcomes=(), collided=False)
-            continue
-        pv = sampler.pmf(n)
-        ones = int(rng.choice(pv.size, p=pv))
-        bits = np.zeros(n, dtype=int)
-        if ones:
-            bits[rng.choice(n, size=ones, replace=False)] = 1
-        if array.assign_with_replacement:
-            where = rng.integers(0, array.m, size=n)
-            collided = len(set(where.tolist())) < n
-        else:
-            where = rng.choice(array.m, size=min(n, array.m), replace=False)
-            collided = False
-        yield ShotRecord(
-            n_detected=n,
-            outcomes=tuple((int(a), int(b)) for a, b in zip(where, bits)),
-            collided=collided,
-        )
+        sampler.pmf(n_top)  # build the largest table first; smaller N are blocks of it
+    seed = array.rng_seed & 0xFFFFFFFFFFFFFFFF
+    for start in range(0, shots, _BLOCK):
+        rng = np.random.Generator(np.random.Philox(key=[seed, start // _BLOCK]))
+        u_n, u_v = rng.random((2, _BLOCK))
+        n = _inverse_cdf(pulse, u_n) if fixed_n is None else np.full(_BLOCK, fixed_n)
+        where = rng.integers(0, array.m, size=n.sum())
+        k = min(_BLOCK, shots - start)
+        n, u_v = n[:k], u_v[:k]
+        where = where[: n.sum()]
+        ones = np.zeros(k, dtype=int)
+        for size in np.unique(n[n > 0]):
+            sel = n == size
+            ones[sel] = _inverse_cdf(sampler.pmf(int(size)), u_v[sel])
+        # sorted keys shot * m + analyzer put a shot's repeated analyzers side by side
+        keys = np.sort(np.repeat(np.arange(k), n) * array.m + where)
+        collided = np.bincount(keys[1:][keys[1:] == keys[:-1]] // array.m, minlength=k) > 0
+        where, pos = where.tolist(), 0
+        for size, v, c in zip(n.tolist(), ones.tolist(), collided.tolist()):
+            bits = (1,) * v + (0,) * (size - v)
+            yield ShotRecord(size, tuple(zip(where[pos : pos + size], bits)), c)
+            pos += size
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +260,32 @@ def _x_state_design(schedule) -> np.ndarray:
 
 
 def _theta_to_matrix(theta: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4))
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = theta[:4]
-    m[0, 3] = m[3, 0] = theta[4]
-    m[1, 2] = m[2, 1] = theta[5]
+    """X-state matrices from parameter vectors (any leading shape)."""
+    theta = np.asarray(theta)
+    m = np.zeros(theta.shape[:-1] + (4, 4))
+    diag = np.arange(4)
+    m[..., diag, diag] = theta[..., :4]
+    m[..., 0, 3] = m[..., 3, 0] = theta[..., 4]
+    m[..., 1, 2] = m[..., 2, 1] = theta[..., 5]
     return m
 
 
 def _pair_counts(records) -> tuple[np.ndarray, int, int]:
-    """Stacked per-shot ordered-pair outcome counts (n00, n01, n10, n11)."""
-    rows = []
-    collided = 0
-    excluded = 0
-    for rec in records:
-        if rec.collided:
-            collided += 1
-            excluded += 1
-            continue
-        n, v = rec.n_detected, rec.ones
-        if n < 2:
-            excluded += 1
-            continue
-        h = n - v
-        rows.append((h * (h - 1), h * v, v * h, v * (v - 1)))
-    if not rows:
+    """Per usable shot ordered-pair outcome counts (n00, n01, n10, n11).
+
+    Returns them with the collided and the excluded (collided or fewer than
+    two photons) shot counts.
+    """
+    shots = np.array(
+        [(r.n_detected, r.ones, r.collided) for r in records], dtype=float
+    ).reshape(-1, 3)
+    n, v, collided = shots.T
+    usable = (collided == 0.0) & (n >= 2.0)
+    if not usable.any():
         raise InvalidShotCount("no usable shots (all collided or below 2 photons)")
-    return np.array(rows, dtype=float), collided, excluded
+    h, v = n[usable] - v[usable], v[usable]
+    rows = np.stack([h * (h - 1.0), h * v, v * h, v * (v - 1.0)], axis=1)
+    return rows, int(collided.sum()), len(shots) - int(usable.sum())
 
 
 def reconstruct_two_body(
@@ -295,60 +306,34 @@ def reconstruct_two_body(
         raise IncompleteSchedule(
             f"settings {tuple(schedule)} do not span the X-state parameters"
         )
-    counts: dict[str, np.ndarray] = {}
-    total_shots = 0
-    total_collided = 0
-    total_excluded = 0
+    counts, collided, excluded = {}, 0, 0
     for label in schedule:
-        recs = shots_by_setting.get(label, [])
-        total_shots += len(recs)
-        arr, coll, excl = _pair_counts(recs)
-        counts[label] = arr
-        total_collided += coll
-        total_excluded += excl
+        counts[label], coll, excl = _pair_counts(shots_by_setting.get(label, []))
+        collided += coll
+        excluded += excl
+    total_shots = sum(len(shots_by_setting.get(lab, [])) for lab in schedule)
 
-    def invert(freqs: np.ndarray) -> np.ndarray:
-        theta, *_ = np.linalg.lstsq(design, freqs, rcond=None)
-        return theta
-
-    def freqs_from(idx: dict[str, np.ndarray] | None) -> np.ndarray:
-        blocks = []
-        for label in schedule:
-            arr = counts[label]
-            sel = arr if idx is None else arr[idx[label]]
-            tot = sel.sum()
-            blocks.append(sel.sum(axis=0) / tot)
-        return np.concatenate(blocks)
-
-    theta = invert(freqs_from(None))
-    mat = _theta_to_matrix(theta)
-    tr = np.trace(mat)
-    mat = mat / tr if tr > 0 else mat
+    def freqs(sel: dict[str, np.ndarray]) -> np.ndarray:
+        return np.concatenate([sel[lab].sum(axis=0) / sel[lab].sum() for lab in schedule])
 
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    boots_mat = np.empty((bootstrap, 4, 4))
-    boots_delta = np.empty(bootstrap)
-    for b in range(bootstrap):
-        idx = {
-            label: rng.integers(0, len(counts[label]), size=len(counts[label]))
-            for label in schedule
-        }
-        th = invert(freqs_from(idx))
-        m = _theta_to_matrix(th)
-        t = np.trace(m)
-        if t > 0:
-            m = m / t
-        boots_mat[b] = m
-        boots_delta[b] = abs(m[0, 3]) - m[1, 2]
-    delta_hat = float(abs(mat[0, 3]) - mat[1, 2])
+    reps = [freqs(counts)] + [
+        freqs({lab: counts[lab][rng.integers(0, len(counts[lab]), size=len(counts[lab]))]
+               for lab in schedule})
+        for _ in range(bootstrap)
+    ]
+    mats = _theta_to_matrix(np.array(reps) @ np.linalg.pinv(design).T)
+    tr = np.trace(mats, axis1=1, axis2=2)
+    mats /= np.where(tr > 0, tr, 1.0)[:, None, None]
+    deltas = np.abs(mats[:, 0, 3]) - mats[:, 1, 2]
     return TomographyResult(
-        matrix=TwoBodyOdm(mat, None),
-        entry_se=boots_mat.std(axis=0, ddof=1),
-        delta_hat=delta_hat,
-        delta_se=float(boots_delta.std(ddof=1)),
+        matrix=TwoBodyOdm(mats[0].copy(), None),  # not a view pinning every rep
+        entry_se=mats[1:].std(axis=0, ddof=1),
+        delta_hat=float(deltas[0]),
+        delta_se=float(deltas[1:].std(ddof=1)),
         shots_per_setting={k: len(v) for k, v in shots_by_setting.items()},
-        collision_fraction=total_collided / max(total_shots, 1),
-        excluded_fraction=total_excluded / max(total_shots, 1),
+        collision_fraction=collided / total_shots,
+        excluded_fraction=excluded / total_shots,
         seed=seed,
     )
 
@@ -364,13 +349,7 @@ def run_pair_tomography(
     """Simulate the schedule and reconstruct; one seed covers everything."""
     shots_by_setting = {}
     for k, label in enumerate(schedule):
-        arr = DetectorArray(
-            m=array.m,
-            efficiency=array.efficiency,
-            basis=label,
-            rng_seed=array.rng_seed + 7919 * (k + 1),
-            assign_with_replacement=array.assign_with_replacement,
-        )
+        arr = replace(array, basis=label, rng_seed=array.rng_seed + 7919 * (k + 1))
         shots_by_setting[label] = list(
             simulate_shots(params, arr, shots_per_setting, fixed_n=fixed_n)
         )

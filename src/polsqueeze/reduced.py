@@ -153,8 +153,19 @@ def pulse_number_pmf(params: StateParams, n_max: int) -> np.ndarray:
 
 
 def default_n_cutoff(params: StateParams) -> int:
-    """Photon-number cutoff leaving < 1e-10 of distribution mass in the tail."""
-    return int(params.nc + 10.0 * math.sqrt(params.nc) + 20.0) + 40
+    """Photon-number cutoff leaving < 1e-10 of pulse mass in the tail.
+
+    Never below nc + 10 sqrt(nc) + 60, which covers the coherent part alone.
+    """
+    lo = int(params.nc + 10.0 * math.sqrt(params.nc) + 20.0) + 40
+    if params.ns == 0.0:
+        return lo
+    # pairs fall off faster than q^k, q = ns/(1+ns): P(pairs > k) <= sqrt(1+ns) q^(k+1)
+    k = math.ceil((0.5 * math.log1p(params.ns) - math.log(5e-11)) / math.log1p(1.0 / params.ns))
+    even = np.zeros(2 * k + 1)
+    even[::2] = squeezed_pair_distribution(params.ns, k)
+    cdf = np.cumsum(np.convolve(_poisson_pmf(params.nc, lo + 2 * k), even)[: lo + 2 * k + 1])
+    return max(lo, int(np.argmax(cdf > 1.0 - 1e-10)))
 
 
 def averaged_two_body(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -110,6 +111,15 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(["state", "--nc", "1", "--ns", "0.01", "--nth", "0.5"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "NonPurifiable"
+
+
+def test_simulate_beyond_the_moment_limit_is_a_domain_error(capsys):
+    # ns = 20 puts detected photon numbers above the count-table order limit
+    start = time.perf_counter()
+    code, _, err = run_cli(["simulate", "--nc", "0.5", "--ns", "20", "--shots", "5"], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "OrderTooLarge"
+    assert time.perf_counter() - start < 30.0
 
 
 def test_byte_identical_reruns(capsys):

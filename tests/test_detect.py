@@ -9,10 +9,13 @@ import pytest
 
 from polsqueeze import StateParams, build_odm, correlators, purify, reduced_two_body
 from polsqueeze.detect import (
+    _BLOCK,
     DEFAULT_SCHEDULE,
     DetectorArray,
     SETTING_BASES,
+    ShotRecord,
     _CountSampler,
+    _pair_counts,
     _thinned_pulse_pmf,
     exact_pair_probabilities,
     reconstruct_two_body,
@@ -21,7 +24,7 @@ from polsqueeze.detect import (
     _x_state_design,
     _theta_to_matrix,
 )
-from polsqueeze.errors import IncompleteSchedule, InvalidShotCount
+from polsqueeze.errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge
 from polsqueeze.reduced import default_n_cutoff, pulse_number_pmf
 
 
@@ -31,6 +34,8 @@ def test_shot_validation():
         list(simulate_shots(StateParams(1.0, 0.1, 0.0), arr, 0))
     with pytest.raises(ValueError):
         DetectorArray(m=0)
+    with pytest.raises(ValueError):
+        DetectorArray(m=2**52)
     with pytest.raises(ValueError):
         DetectorArray(m=4, efficiency=0.0)
 
@@ -100,13 +105,24 @@ def test_collision_accounting():
     assert frac > 0.0
 
 
-def test_no_replacement_mode_has_no_collisions():
-    arr = DetectorArray(m=64, rng_seed=2, assign_with_replacement=False)
-    recs = list(simulate_shots(StateParams(6.0, 0.1, 0.0), arr, 200))
-    assert not any(r.collided for r in recs)
-    for r in recs:
-        idx = [a for a, _ in r.outcomes]
-        assert len(idx) == len(set(idx))
+def test_records_are_prefix_stable_across_blocks():
+    p = StateParams(3.0, 0.2, 0.0)
+    for m in (2**20, 1000):
+        arr = DetectorArray(m=m, efficiency=0.8, rng_seed=7)
+        long = list(simulate_shots(p, arr, 5000))
+        assert list(simulate_shots(p, arr, 40)) == long[:40]
+        assert list(simulate_shots(p, arr, _BLOCK + 4)) == long[: _BLOCK + 4]
+
+
+@pytest.mark.parametrize("m", [3, 2**20])
+@pytest.mark.parametrize("eta", [1.0, 0.6])
+def test_every_photon_has_an_outcome(m, eta):
+    arr = DetectorArray(m=m, efficiency=eta, rng_seed=4)
+    recs = list(simulate_shots(StateParams(6.0, 0.1, 0.0), arr, 300))
+    assert all(len(r.outcomes) == r.n_detected for r in recs)
+    assert all(0 <= a < m for r in recs for a, _ in r.outcomes)
+    # a shot is collided exactly when two photons share an analyzer
+    assert all(r.collided == (len({a for a, _ in r.outcomes}) < r.n_detected) for r in recs)
 
 
 def test_design_matrix_completeness():
@@ -128,6 +144,42 @@ def test_linear_inversion_exact_frequencies():
     theta, *_ = np.linalg.lstsq(design, freqs, rcond=None)
     rec = _theta_to_matrix(theta)
     assert np.abs(rec - tb.matrix).max() < 1e-12
+
+
+def test_reconstruction_on_hand_built_records():
+    def rec(bits, analyzers=None, collided=False):
+        analyzers = range(len(bits)) if analyzers is None else analyzers
+        return ShotRecord(len(bits), tuple(zip(analyzers, bits)), collided)
+
+    shots = {
+        "HV": [rec((1, 0, 0)), rec((1, 1), (5, 5), collided=True), rec((0,)), rec(()),
+               rec((1, 1, 0, 0))],
+        "DA": [rec((0, 0)), rec((1, 0, 1)), rec((1, 0, 0), (2, 2, 7), collided=True)],
+        "RL": [rec((1,)), rec((0, 1, 1, 1)), rec((1, 1, 1))],
+    }
+    # (h(h-1), hv, vh, v(v-1)) per usable shot, h = n - ones, v = ones
+    expect = {
+        "HV": [[2, 2, 2, 0], [2, 4, 4, 2]],
+        "DA": [[2, 0, 0, 0], [0, 2, 2, 2]],
+        "RL": [[0, 3, 3, 6], [0, 0, 0, 6]],
+    }
+    for label, recs in shots.items():
+        rows, collided, excluded = _pair_counts(recs)
+        assert rows.tolist() == expect[label]
+        assert (collided, excluded) == {"HV": (1, 3), "DA": (1, 1), "RL": (0, 1)}[label]
+    res = reconstruct_two_body(shots, bootstrap=5)
+    assert res.collision_fraction == 2 / 11
+    assert res.excluded_fraction == 5 / 11
+    assert res.shots_per_setting == {"HV": 5, "DA": 3, "RL": 3}
+    freqs = np.concatenate(
+        [np.sum(expect[lab], axis=0) / np.sum(expect[lab]) for lab in DEFAULT_SCHEDULE]
+    )
+    assert freqs.tolist() == [
+        4 / 18, 6 / 18, 6 / 18, 2 / 18, 2 / 8, 2 / 8, 2 / 8, 2 / 8, 0, 3 / 18, 3 / 18, 12 / 18
+    ]
+    theta, *_ = np.linalg.lstsq(_x_state_design(DEFAULT_SCHEDULE), freqs, rcond=None)
+    mat = _theta_to_matrix(theta)
+    assert res.matrix.matrix == pytest.approx(mat / np.trace(mat), abs=1e-14)
 
 
 def test_reconstruction_consistency_with_statistics():
@@ -198,6 +250,12 @@ def test_hv_count_law_fills_only_diagonal_moments():
     _CountSampler(p, "HV").pmf(30)
     filled = correlators.table_for(p)._values
     assert filled and all(m == n for m, n in filled)
+
+
+def test_count_law_refuses_orders_beyond_the_moment_limit():
+    sampler = _CountSampler(StateParams(2.0, 0.3, 0.0), "DA")
+    with pytest.raises(OrderTooLarge):
+        sampler.pmf(correlators.DEFAULT_MAX_ORDER + 1)
 
 
 def test_thinning_matches_binomial_sum():

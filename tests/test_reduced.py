@@ -13,7 +13,11 @@ from polsqueeze import (
 )
 from polsqueeze.errors import TooFewPhotons, UnsupportedThermal
 from polsqueeze.fock import build_squeezed_thermal
-from polsqueeze.reduced import pulse_number_pmf, squeezed_pair_distribution
+from polsqueeze.reduced import (
+    default_n_cutoff,
+    pulse_number_pmf,
+    squeezed_pair_distribution,
+)
 
 
 def _ptrace_to_pair(rho, n):
@@ -128,6 +132,14 @@ def test_pulse_pmf_normalization():
     # mean equals total photon flux
     mean = (np.arange(n_max + 1) * pmf).sum()
     assert mean == pytest.approx(9.3, rel=1e-9)
+
+
+@pytest.mark.parametrize("nc, ns", [(1.0, 1.7), (0.5, 5.0), (2.0, 20.0)])
+def test_default_cutoff_covers_strong_squeezing(nc, ns):
+    p = StateParams(nc, ns, 0.0)
+    n_max = default_n_cutoff(p)
+    assert 1.0 - pulse_number_pmf(p, n_max).sum() < 1e-10
+    assert n_max >= int(nc + 10.0 * math.sqrt(nc) + 20.0) + 40
 
 
 def test_averaged_requires_thermal_free():
