@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import NotReachable
 from .state import StateParams, stokes_summary
@@ -96,6 +95,7 @@ def macroscopic_fraction(ns: float, nth: float) -> tuple[float, bool]:
 
 def _ground_pair(j: float, mu: float, d: int) -> tuple[float, float]:
     """(<j_x^2>, <j_z>) of the ground state of j_x^2 - mu*j_z on m >= j - d."""
+    from scipy.linalg import eig_banded  # imported here: scipy.linalg is ~30 MiB
     d = int(min(d, round(2 * j)))
     m = j - np.arange(d + 1)
     diag = (2 * j * (j + 1) - m * (m - 1) - m * (m + 1)) / 4.0 - mu * m

@@ -14,8 +14,8 @@ All analyzers share one basis per shot; that keeps the outcome distribution
 exchangeable, so it depends only on the count of "second output" clicks.
 Rotated-basis count distributions are genuinely sub-binomial for squeezed
 input (that is the entanglement signature), so no independent-photon
-shortcut is taken: each count law is the Born rule of `odm.Odm` for one
-product outcome, times the number of outcome patterns with that count.
+shortcut is taken: the count law is the Born rule of `odm.Odm` for one product
+outcome per count (all in one pass) times the number of patterns with that count.
 
 Reconstruction averages every ordered pair of photons in every shot, per
 setting, and linearly inverts the pooled pair frequencies into the X-shaped
@@ -31,7 +31,7 @@ import numpy as np
 
 from .correlators import DEFAULT_MAX_ORDER
 from .errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge
-from .odm import _odm_block, _scaled_moments, born_probability
+from .odm import _odm, born_probabilities
 from .reduced import TwoBodyOdm, pulse_number_pmf, default_n_cutoff
 from .state import StateParams, purify
 
@@ -131,18 +131,13 @@ def _thinned_pulse_pmf(params: StateParams, efficiency: float) -> np.ndarray:
 
 
 class _CountSampler:
-    """Exact P(count of outcome-1 | N) tables per analysis basis.
-
-    All photon numbers share one scaled moment table, grown to the largest N
-    asked for; HV reads only its diagonal, so only diagonal moments are made.
-    """
+    """Exact P(count of outcome-1 | N) tables per analysis basis, one per N."""
 
     def __init__(self, params: StateParams, basis: str):
         if params.nc == 0.0:
             raise ValueError("detection model needs nc > 0 (bright reference beam)")
         self.params = params if params.nth == 0.0 else purify(params)[0]
         self.basis = basis
-        self._moments = np.zeros((0, 0))
         self._cache: dict[int, np.ndarray] = {}
 
     def pmf(self, n: int) -> np.ndarray:
@@ -152,20 +147,14 @@ class _CountSampler:
                 raise OrderTooLarge(
                     f"detected photon number must be <= {DEFAULT_MAX_ORDER}, got {n}"
                 )
-            if n >= len(self._moments):
-                self._moments = _scaled_moments(self.params, n, self.basis == "HV")
-            odm = _odm_block(self._moments, n)
+            odm = _odm(self.params, n)
             if self.basis == "HV":
                 p = odm.vcount_probabilities()
-            else:
+            else:  # row v: outcome 0 on the first n - v photons, outcome 1 after
                 col0, col1 = SETTING_BASES[self.basis].T
-                p = np.array(
-                    [
-                        math.comb(n, v)
-                        * born_probability(odm, [col0] * (n - v) + [col1] * v)
-                        for v in range(n + 1)
-                    ]
-                )
+                ones = np.arange(n)[None, :, None] >= n - np.arange(n + 1)[:, None, None]
+                born = born_probabilities(odm, np.where(ones, col1, col0))
+                p = np.array([float(math.comb(n, v)) for v in range(n + 1)]) * born
             out = self._cache[n] = p / p.sum()
         return out
 
@@ -205,7 +194,7 @@ def simulate_shots(
         n_top = fixed_n
     sampler = _CountSampler(params, array.basis)
     if n_top:
-        sampler.pmf(n_top)  # build the largest table first; smaller N are blocks of it
+        sampler.pmf(n_top)  # past the moment-order limit this fails before any shot
     seed = array.rng_seed & 0xFFFFFFFFFFFFFFFF
     for start in range(0, shots, _BLOCK):
         rng = np.random.Generator(np.random.Philox(key=[seed, start // _BLOCK]))

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffTooSmall, DimensionTooLarge
 from .state import StateParams
@@ -49,6 +48,7 @@ def build_squeezed_thermal(ns: float, nth: float, cutoff: int = 40) -> FockState
     state at a padded dimension and truncated back to ``cutoff``; the
     truncated trace deficit is reported and must stay below 1e-10.
     """
+    from scipy.linalg import expm  # imported here: scipy.linalg is ~30 MiB
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4")
     pad = max(16, cutoff // 2)

@@ -9,10 +9,11 @@ with ``vi`` and ``vj`` vertical photons factors as::
     R[i, j] = alpha^((N - vi) + (N - vj)) * <(a_V^dag)^vi a_V^vj>
 
 so the whole 2^N x 2^N matrix is determined by an (N+1) x (N+1) table of
-single-mode moments.  `Odm` stores that compressed table (scaled by nc^-N to
-keep magnitudes sane) and materializes the dense matrix on demand.  Entries
-vanish whenever vi - vj is odd, every entry depends on (vi, vj) only, and the
-matrix is invariant under photon permutations by construction.
+single-mode moments, a float Wick recurrence (`_scaled_moments`).  `Odm`
+stores that compressed table (scaled by nc^-N to keep magnitudes sane) and
+materializes the dense matrix on demand.  Entries vanish whenever vi - vj
+is odd, every entry depends on (vi, vj) only, and the matrix is invariant
+under photon permutations by construction.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from . import correlators
 from .errors import DimensionTooLarge, NonNormalizedSetting
 from .state import StateParams
 
@@ -33,6 +32,7 @@ __all__ = [
     "closed_form_r2",
     "closed_form_r3",
     "born_probability",
+    "born_probabilities",
     "phase_average",
 ]
 
@@ -69,34 +69,40 @@ class Odm:
         return np.clip(p, 0.0, None)
 
 
-def _scaled_moments(params: StateParams, n_max: int, diagonal: bool = False) -> np.ndarray:
-    """Float table nc^(-(v+w)/2) <(a^dag)^v a^w> for v, w <= n_max.
+def _scaled_moments(params: StateParams, n_max: int) -> np.ndarray:
+    """Float table S[v, w] = nc^(-(v+w)/2) <(a^dag)^v a^w> for v, w <= n_max.
 
-    No entry depends on the photon number, so the top-left (N+1) block is
-    the `Odm.table` of N photons for every N <= n_max (see `_odm_block`).
-    ``diagonal`` fills only the v = w moments.  Iterates grouped by the order
-    difference so coefficient rows shared by those moments stay cache hot.
+    Wick's theorem for the Gaussian V mode, x = <a^dag a>/nc, y = <a^2>/nc:
+    S[0, 2k] = (2k-1) y S[0, 2k-2], S[m+1, w] = w x S[m, w-1] + m y S[m-1, w].
+    No term is negative, so nothing cancels.  Past ``top`` the next step
+    (<= n_max (x + y)-fold) or the trace (weights <= 2^n_max) could overflow,
+    so the table is scaled down there by a power of two.
     """
-    tab = correlators.table_for(params)
-    table = np.zeros((n_max + 1, n_max + 1))
-    with mp.workdps(60 + n_max):
-        nc = mp.mpf(params.nc)
-        for t in range(1 if diagonal else n_max // 2 + 1):
-            for v in range(n_max + 1 - 2 * t):
-                w = v + 2 * t
-                # nc^((2N - v - w)/2) * E[v, w] scaled by nc^-N
-                table[v, w] = float(tab.value(v, w) * nc ** (-(v + w) // 2))
-                table[w, v] = table[v, w]
-    return table
+    x = params.vmode_mean / params.nc
+    y = params.anomalous_moment / params.nc
+    top = math.ldexp(1.0 / (n_max * (x + y) + 1.0), 1021 - n_max)
+    s = np.zeros((n_max + 1, n_max + 1))
+    s[0, 0] = 1.0
+    for k in range(2, n_max + 1, 2):
+        s[0, k] = (k - 1) * y * s[0, k - 2]
+        if s[0, k] > top:
+            s[0] = np.ldexp(s[0], -math.frexp(s[0, k] / top)[1])
+    wx = np.arange(1, n_max + 1) * x
+    for m in range(n_max):
+        s[m + 1, 1:] = wx * s[m, :-1]
+        if m:
+            s[m + 1] += m * y * s[m - 1]
+        big = s[m + 1].max()
+        if big > top:
+            s[: m + 2] = np.ldexp(s[: m + 2], -math.frexp(big / top)[1])
+    return s
 
 
-def _odm_block(table: np.ndarray, n_photons: int) -> Odm:
-    """`Odm` of ``n_photons`` from the top-left block of a `_scaled_moments` table."""
-    block = table[: n_photons + 1, : n_photons + 1]
-    trace = float(
-        sum(math.comb(n_photons, v) * block[v, v] for v in range(n_photons + 1))
-    )
-    return Odm(n=n_photons, table=block, trace=trace)
+def _odm(params: StateParams, n_photons: int) -> Odm:
+    """`Odm` of ``n_photons``, without `build_odm`'s size and flux checks."""
+    table = _scaled_moments(params, n_photons)
+    trace = float(sum(math.comb(n_photons, v) * table[v, v] for v in range(n_photons + 1)))
+    return Odm(n=n_photons, table=table, trace=trace)
 
 
 def build_odm(params: StateParams, n_photons: int) -> Odm:
@@ -107,7 +113,7 @@ def build_odm(params: StateParams, n_photons: int) -> Odm:
         )
     if params.nc == 0.0:
         raise ValueError("build_odm needs nc > 0 (no detected H reference beam)")
-    return _odm_block(_scaled_moments(params, n_photons), n_photons)
+    return _odm(params, n_photons)
 
 
 def phase_average(odm: Odm) -> Odm:
@@ -121,30 +127,34 @@ def phase_average(odm: Odm) -> Odm:
     return Odm(n=odm.n, table=table, trace=odm.trace)
 
 
-def born_probability(odm: Odm, settings) -> float:
-    """Detection probability of a product polarization outcome.
+def born_probabilities(odm: Odm, settings) -> np.ndarray:
+    """Detection probabilities of product polarization outcomes, in one pass.
 
-    ``settings`` is one normalized complex 2-vector (H, V amplitudes) per
-    photon; the probability is the diagonal matrix element of the normalized
-    matrix in the product state, evaluated in O(N^2) through the compressed
-    table.
+    ``settings[r]`` is one normalized complex 2-vector (H, V amplitudes) per
+    photon for outcome r; its probability is the diagonal matrix element of
+    the normalized matrix in that product state, O(N^2) via the table.
     """
-    settings = [np.asarray(s, dtype=complex).reshape(2) for s in settings]
-    if len(settings) != odm.n:
-        raise ValueError(f"need {odm.n} settings, got {len(settings)}")
-    for s in settings:
-        if abs(np.linalg.norm(s) - 1.0) > 1e-9:
-            raise NonNormalizedSetting(f"setting {s} has norm {np.linalg.norm(s):.12f}")
-    # e[v] = sum over basis kets with v vertical photons of the conjugated
-    # product amplitude; built by one polynomial multiplication per photon.
-    e = np.zeros(odm.n + 1, dtype=complex)
-    e[0] = 1.0
-    for k, s in enumerate(settings):
-        h, v = np.conj(s[0]), np.conj(s[1])
-        e[1 : k + 2] = e[1 : k + 2] * h + e[: k + 1] * v
-        e[0] *= h
-    val = np.conj(e) @ odm.normalized_table() @ e
-    return float(np.clip(val.real, 0.0, 1.0))
+    settings = np.asarray(settings, dtype=complex)
+    if settings.ndim != 3 or settings.shape[1:] != (odm.n, 2):
+        raise ValueError(f"need {odm.n} two-component settings per outcome")
+    off = np.abs(np.linalg.norm(settings, axis=-1) - 1.0)
+    if (off > 1e-9).any():
+        raise NonNormalizedSetting(f"a setting's norm is off 1 by {off.max():.3g}")
+    # e[r, v] = sum over basis kets with v vertical photons of the conjugated
+    # product amplitude of outcome r; one polynomial multiplication per photon
+    h, v = np.conj(settings[..., 0]), np.conj(settings[..., 1])
+    e = np.zeros((len(settings), odm.n + 1), dtype=complex)
+    e[:, 0] = 1.0
+    for k in range(odm.n):
+        e[:, 1 : k + 2] = e[:, 1 : k + 2] * h[:, k, None] + e[:, : k + 1] * v[:, k, None]
+        e[:, 0] *= h[:, k]
+    val = np.einsum("ij,ij->i", np.conj(e) @ odm.normalized_table(), e)
+    return np.clip(val.real, 0.0, 1.0)
+
+
+def born_probability(odm: Odm, settings) -> float:
+    """`born_probabilities` of the single outcome ``settings``."""
+    return float(born_probabilities(odm, [settings])[0])
 
 
 def closed_form_r2(params: StateParams) -> np.ndarray:

@@ -147,8 +147,8 @@ def pulse_number_pmf(params: StateParams, n_max: int) -> np.ndarray:
     pois = _poisson_pmf(params.nc, n_max)
     pairs = squeezed_pair_distribution(params.ns, n_max // 2)
     out = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        out[n] = sum(pois[n - 2 * k] * pairs[k] for k in range(n // 2 + 1))
+    for k in range(n_max // 2 + 1):  # ascending k: each out[n] sums its terms in k order
+        out[2 * k :] += pairs[k] * pois[: n_max + 1 - 2 * k]
     return out
 
 

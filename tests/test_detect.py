@@ -4,10 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from polsqueeze import StateParams, build_odm, correlators, purify, reduced_two_body
+from polsqueeze import (
+    StateParams,
+    born_probability,
+    build_odm,
+    correlators,
+    purify,
+    reduced_two_body,
+)
 from polsqueeze.detect import (
     _BLOCK,
     DEFAULT_SCHEDULE,
@@ -25,6 +33,7 @@ from polsqueeze.detect import (
     _theta_to_matrix,
 )
 from polsqueeze.errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge
+from polsqueeze.odm import _odm
 from polsqueeze.reduced import default_n_cutoff, pulse_number_pmf
 
 
@@ -245,11 +254,53 @@ def test_rotated_count_law_matches_dense_born_rule(label):
         assert sampler.pmf(n) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
-def test_hv_count_law_fills_only_diagonal_moments():
-    p = StateParams(6.0, 0.2345678, 0.0)  # ns unused elsewhere: a fresh table
-    _CountSampler(p, "HV").pmf(30)
-    filled = correlators.table_for(p)._values
-    assert filled and all(m == n for m, n in filled)
+def test_count_laws_build_no_correlator_tables():
+    before = set(correlators._TABLES)
+    for label in ("HV", "DA", "RL"):
+        _CountSampler(StateParams(6.0, 0.2345678, 0.0123), label).pmf(30)
+    assert set(correlators._TABLES) == before
+
+
+@pytest.mark.parametrize("label", ["DA", "RL"])
+def test_batched_count_law_matches_per_outcome_born_rule(label):
+    n = 30
+    p = StateParams(float(n), 0.3, 0.0)
+    odm = _odm(p, n)
+    col0, col1 = SETTING_BASES[label].T
+    loop = np.array(
+        [math.comb(n, v) * born_probability(odm, [col0] * (n - v) + [col1] * v)
+         for v in range(n + 1)]
+    )
+    assert _CountSampler(p, label).pmf(n) == pytest.approx(loop / loop.sum(), abs=1e-15)
+
+
+def _hv_law_mpmath(p, n):
+    """P(v | n) from the Wick recurrence in 60-digit arithmetic."""
+    with mp.workdps(60):
+        x, y = mp.mpf(p.vmode_mean) / p.nc, mp.mpf(p.anomalous_moment) / p.nc
+        s = [[mp.mpf(0)] * (n + 1) for _ in range(n + 1)]
+        s[0][0] = mp.mpf(1)
+        for k in range(2, n + 1, 2):
+            s[0][k] = (k - 1) * y * s[0][k - 2]
+        for m in range(n):
+            for w in range(n + 1):
+                s[m + 1][w] = (w * x * s[m][w - 1] if w else 0) + (m * y * s[m - 1][w] if m else 0)
+        weights = [math.comb(n, v) * s[v][v] for v in range(n + 1)]
+        total = mp.fsum(weights)
+        return np.array([float(w / total) for w in weights])
+
+
+@pytest.mark.parametrize("nc, n", [(0.5, 146), (1e-3, 144)])
+def test_count_laws_stay_finite_where_moments_pass_the_float_range(nc, n):
+    # the largest moment is about 2^1379 at nc = 0.5 and 2^2648 at nc = 1e-3
+    p = StateParams(nc, 3.0, 0.0)
+    for label in ("HV", "DA", "RL"):
+        pv = _CountSampler(p, label).pmf(n)
+        assert np.isfinite(pv).all()
+        assert pv.sum() == pytest.approx(1.0, abs=1e-12)
+    ref = _hv_law_mpmath(p, n)
+    keep = ref > 1e-300
+    assert _CountSampler(p, "HV").pmf(n)[keep] == pytest.approx(ref[keep], rel=1e-12)
 
 
 def test_count_law_refuses_orders_beyond_the_moment_limit():
@@ -272,14 +323,15 @@ def test_thinning_matches_binomial_sum():
     assert got[keep] == pytest.approx(direct[keep], rel=1e-13)
 
 
-def test_lossy_pulse_sampling_does_not_import_scipy_stats():
+def test_reduction_and_lossy_sampling_do_not_import_scipy():
     code = (
         "import sys\n"
-        "from polsqueeze import StateParams\n"
+        "from polsqueeze import StateParams, reduced_two_body\n"
         "from polsqueeze.detect import DetectorArray, simulate_shots\n"
+        "reduced_two_body(StateParams(4.0, 0.3, 0.0), 8)\n"
         "arr = DetectorArray(m=64, efficiency=0.5, rng_seed=1)\n"
         "list(simulate_shots(StateParams(3.0, 0.1, 0.02), arr, 20))\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "print('scipy' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -9,11 +9,12 @@ from polsqueeze import (
     build_odm,
     closed_form_r2,
     closed_form_r3,
+    correlation,
     oracle_odm,
     phase_average,
 )
 from polsqueeze.errors import DimensionTooLarge, NonNormalizedSetting
-from polsqueeze.odm import Odm
+from polsqueeze.odm import Odm, _scaled_moments
 
 H = (1.0, 0.0)
 V = (0.0, 1.0)
@@ -189,3 +190,21 @@ def test_vcount_probabilities_at_large_n():
     v = np.arange(n + 1)
     binom = np.array([math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in v])
     assert np.allclose(p, binom, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize(
+    "nc, ns, nth", [(1.0, 0.3, 0.0), (4.0, 1.2, 0.0), (0.5, 0.2, 0.1), (2.0, 0.0, 0.3)]
+)
+def test_scaled_moments_match_the_mpmath_moments(nc, ns, nth):
+    p = StateParams(nc, ns, nth)
+    n_max = 60
+    table = _scaled_moments(p, n_max)
+    # every entry up to order 12, then a spread of high orders
+    pairs = [(v, w) for v in range(13) for w in range(13)]
+    pairs += [(60, 60), (58, 60), (0, 60), (31, 59), (40, 44), (17, 55), (59, 60)]
+    for v, w in pairs:
+        ref = float(correlation(p, v, w)) / nc ** ((v + w) / 2)
+        if ref == 0.0:
+            assert table[v, w] == 0.0
+        else:
+            assert table[v, w] == pytest.approx(ref, rel=1e-13)

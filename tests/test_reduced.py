@@ -14,6 +14,7 @@ from polsqueeze import (
 from polsqueeze.errors import TooFewPhotons, UnsupportedThermal
 from polsqueeze.fock import build_squeezed_thermal
 from polsqueeze.reduced import (
+    _poisson_pmf,
     default_n_cutoff,
     pulse_number_pmf,
     squeezed_pair_distribution,
@@ -132,6 +133,16 @@ def test_pulse_pmf_normalization():
     # mean equals total photon flux
     mean = (np.arange(n_max + 1) * pmf).sum()
     assert mean == pytest.approx(9.3, rel=1e-9)
+
+
+def test_pulse_pmf_sums_in_the_order_of_the_convolution_loop():
+    p = StateParams(6.0, 1.3, 0.0)
+    n_max = default_n_cutoff(p)
+    got = pulse_number_pmf(p, n_max)
+    pois = _poisson_pmf(6.0, n_max)
+    pairs = squeezed_pair_distribution(1.3, n_max // 2)
+    loop = [sum(pois[n - 2 * k] * pairs[k] for k in range(n // 2 + 1)) for n in range(n_max + 1)]
+    assert got.tolist() == loop
 
 
 @pytest.mark.parametrize("nc, ns", [(1.0, 1.7), (0.5, 5.0), (2.0, 20.0)])
