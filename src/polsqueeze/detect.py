@@ -20,6 +20,12 @@ outcome per count (all in one pass) times the number of patterns with that count
 Reconstruction averages every ordered pair of photons in every shot, per
 setting, and linearly inverts the pooled pair frequencies into the X-shaped
 two-photon matrix; bootstrap resampling of shots provides standard errors.
+A shot enters only through (n_detected, ones, collided): `run_pair_tomography`
+keeps these per-shot arrays from the block generator and builds no
+`ShotRecord`, while `reconstruct_two_body` reduces its records to the same
+arrays, so both give identical results on the same shots.  Each bootstrap
+resample is summed as the multiplicities of the distinct pair rows times those
+rows, which is exact because the rows are integer-valued.
 """
 
 from __future__ import annotations
@@ -169,21 +175,13 @@ def _inverse_cdf(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
-def simulate_shots(
-    params: StateParams, array: DetectorArray, shots: int, fixed_n: int | None = None
-):
-    """Yield `ShotRecord`s; shot i depends only on (array.rng_seed, i).
+def _shot_blocks(params: StateParams, array: DetectorArray, shots: int, fixed_n: int | None):
+    """Yield ``(n, ones, collided, where)`` arrays, one tuple per block of shots.
 
     Each block of `_BLOCK` shots comes from one Philox stream keyed
-    (seed, block index) and always drawn at full block length, so the
-    records of a run are a prefix of those of any longer run.  Per shot:
-    detected N by inverse CDF of the thinned pulse law, the outcome-1 count
-    by inverse CDF of the exact count law in ``array.basis``, and N analyzer
-    indices drawn uniformly with replacement; two photons on one analyzer
-    flag the shot collided.  The first ``ones`` photons carry outcome 1,
-    which has the law of a uniform scatter because the analyzer indices are
-    i.i.d.  ``fixed_n`` post-selects the detected photon number instead of
-    sampling it.
+    (seed, block index) and is always drawn at full block length; the last
+    block is cut to the shots asked for.  ``where`` holds the analyzer of
+    every photon, shot after shot.
     """
     if shots < 1:
         raise InvalidShotCount(f"shots must be >= 1, got {shots}")
@@ -211,6 +209,27 @@ def simulate_shots(
         # sorted keys shot * m + analyzer put a shot's repeated analyzers side by side
         keys = np.sort(np.repeat(np.arange(k), n) * array.m + where)
         collided = np.bincount(keys[1:][keys[1:] == keys[:-1]] // array.m, minlength=k) > 0
+        yield n, ones, collided, where
+
+
+def simulate_shots(
+    params: StateParams, array: DetectorArray, shots: int, fixed_n: int | None = None
+):
+    """Yield `ShotRecord`s; shot i depends only on (array.rng_seed, i).
+
+    Each block of `_BLOCK` shots comes from one Philox stream keyed
+    (seed, block index) and always drawn at full block length, so the
+    records of a run are a prefix of those of any longer run.  Per shot:
+    detected N by inverse CDF of the thinned pulse law, the outcome-1 count
+    by inverse CDF of the exact count law in ``array.basis``, and N analyzer
+    indices drawn uniformly with replacement; two photons on one analyzer
+    flag the shot collided.  The first ``ones`` photons carry outcome 1,
+    which has the law of a uniform scatter because the analyzer indices are
+    i.i.d.  ``fixed_n`` post-selects the detected photon number instead of
+    sampling it.  `run_pair_tomography` draws the same shots without
+    building records.
+    """
+    for n, ones, collided, where in _shot_blocks(params, array, shots, fixed_n):
         where, pos = where.tolist(), 0
         for size, v, c in zip(n.tolist(), ones.tolist(), collided.tolist()):
             bits = (1,) * v + (0,) * (size - v)
@@ -228,24 +247,11 @@ def _x_state_design(schedule) -> np.ndarray:
     Parameter vector theta = (rho_11, rho_22, rho_33, rho_44, Re rho_14,
     Re rho_23) under the real-matrix convention.
     """
-    rows = []
-    for label in schedule:
-        basis = SETTING_BASES[label]
-        for o1 in range(2):
-            for o2 in range(2):
-                ket = np.kron(basis[:, o1], basis[:, o2])
-                proj = np.outer(ket, ket.conj())
-                rows.append(
-                    [
-                        proj[0, 0].real,
-                        proj[1, 1].real,
-                        proj[2, 2].real,
-                        proj[3, 3].real,
-                        2.0 * proj[3, 0].real,
-                        2.0 * proj[2, 1].real,
-                    ]
-                )
-    return np.array(rows)
+    bases = np.array([SETTING_BASES[label] for label in schedule]).reshape(-1, 2, 2)
+    # kets[4s + 2 o1 + o2] = basis[:, o1] (x) basis[:, o2] of setting s
+    kets = np.einsum("sio,sjp->sopij", bases, bases).reshape(-1, 4)
+    proj = kets[:, [0, 1, 2, 3, 3, 2]] * kets[:, [0, 1, 2, 3, 0, 1]].conj()
+    return proj.real * np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
 
 
 def _theta_to_matrix(theta: np.ndarray) -> np.ndarray:
@@ -259,15 +265,20 @@ def _theta_to_matrix(theta: np.ndarray) -> np.ndarray:
     return m
 
 
-def _pair_counts(records) -> tuple[np.ndarray, int, int]:
-    """Per usable shot ordered-pair outcome counts (n00, n01, n10, n11).
-
-    Returns them with the collided and the excluded (collided or fewer than
-    two photons) shot counts.
-    """
-    shots = np.array(
+def _shot_array(records) -> np.ndarray:
+    """(S, 3) float array of (n_detected, ones, collided) from shot records."""
+    return np.array(
         [(r.n_detected, r.ones, r.collided) for r in records], dtype=float
     ).reshape(-1, 3)
+
+
+def _pair_counts(shots: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Per usable shot ordered-pair outcome counts (n00, n01, n10, n11).
+
+    ``shots`` is an (S, 3) array of (n_detected, ones, collided).  Returns
+    the rows with the collided and the excluded (collided or fewer than two
+    photons) shot counts.
+    """
     n, v, collided = shots.T
     usable = (collided == 0.0) & (n >= 2.0)
     if not usable.any():
@@ -277,41 +288,49 @@ def _pair_counts(records) -> tuple[np.ndarray, int, int]:
     return rows, int(collided.sum()), len(shots) - int(usable.sum())
 
 
-def reconstruct_two_body(
-    shots_by_setting: dict[str, list],
-    schedule=DEFAULT_SCHEDULE,
-    bootstrap: int = 200,
-    seed: int = 0,
+def _reconstruct(
+    shots_by_setting: dict[str, np.ndarray], schedule, bootstrap: int, seed: int
 ) -> TomographyResult:
-    """Linear-inversion X-state estimate from pair-averaged shot records.
+    """Linear inversion and bootstrap from (S, 3) shot arrays per setting.
 
-    ``shots_by_setting`` maps setting labels to shot-record lists; the
-    schedule must span the six real X-state parameters or IncompleteSchedule
-    is raised.  Collided and sub-two-photon shots are excluded (fractions
-    reported).  Bootstrap over shots gives entry and delta standard errors.
+    A pair row depends only on (n_detected, ones), so each setting's usable
+    shots are grouped by distinct row and a resample is summed as its group
+    multiplicities times the distinct rows.  The rows are integer-valued, so
+    every sum is exact and equals the plain sum over the resampled shots.
     """
+    if bootstrap < 2:
+        raise InvalidShotCount(f"bootstrap needs >= 2 resamples, got {bootstrap}")
     design = _x_state_design(schedule)
     if np.linalg.matrix_rank(design) < 6:
         raise IncompleteSchedule(
             f"settings {tuple(schedule)} do not span the X-state parameters"
         )
-    counts, collided, excluded = {}, 0, 0
+    no_shots = np.empty((0, 3))
+    groups, collided, excluded = {}, 0, 0  # label -> (distinct rows, row of each shot)
     for label in schedule:
-        counts[label], coll, excl = _pair_counts(shots_by_setting.get(label, []))
+        rows, coll, excl = _pair_counts(shots_by_setting.get(label, no_shots))
+        groups[label] = np.unique(rows, axis=0, return_inverse=True)
         collided += coll
         excluded += excl
-    total_shots = sum(len(shots_by_setting.get(lab, [])) for lab in schedule)
+    total_shots = sum(len(shots_by_setting.get(lab, no_shots)) for lab in schedule)
 
-    def freqs(sel: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([sel[lab].sum(axis=0) / sel[lab].sum() for lab in schedule])
+    def multiplicity(label, picks):
+        distinct, group = groups[label]
+        return np.bincount(group[picks], minlength=len(distinct))
 
+    size = {lab: len(group) for lab, (_, group) in groups.items()}
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    reps = [freqs(counts)] + [
-        freqs({lab: counts[lab][rng.integers(0, len(counts[lab]), size=len(counts[lab]))]
-               for lab in schedule})
-        for _ in range(bootstrap)
-    ]
-    mats = _theta_to_matrix(np.array(reps) @ np.linalg.pinv(design).T)
+    mult = {lab: [multiplicity(lab, slice(None))] for lab in groups}
+    for _ in range(bootstrap):
+        # one draw per schedule entry, in order; a repeated label keeps its last draw
+        picks = {lab: rng.integers(0, size[lab], size=size[lab]) for lab in schedule}
+        for lab, idx in picks.items():
+            mult[lab].append(multiplicity(lab, idx))
+    sums = {lab: np.array(m) @ groups[lab][0] for lab, m in mult.items()}
+    freqs = np.concatenate(
+        [sums[lab] / sums[lab].sum(axis=1, keepdims=True) for lab in schedule], axis=1
+    )
+    mats = _theta_to_matrix(freqs @ np.linalg.pinv(design).T)
     tr = np.trace(mats, axis1=1, axis2=2)
     mats /= np.where(tr > 0, tr, 1.0)[:, None, None]
     deltas = np.abs(mats[:, 0, 3]) - mats[:, 1, 2]
@@ -327,6 +346,26 @@ def reconstruct_two_body(
     )
 
 
+def reconstruct_two_body(
+    shots_by_setting: dict[str, list],
+    schedule=DEFAULT_SCHEDULE,
+    bootstrap: int = 200,
+    seed: int = 0,
+) -> TomographyResult:
+    """Linear-inversion X-state estimate from pair-averaged shot records.
+
+    ``shots_by_setting`` maps setting labels to shot-record lists; the
+    schedule must span the six real X-state parameters or IncompleteSchedule
+    is raised.  Collided and sub-two-photon shots are excluded (fractions
+    reported).  Bootstrap over shots (``bootstrap`` >= 2 resamples, else
+    InvalidShotCount) gives entry and delta standard errors.  Only each
+    record's (n_detected, ones, collided) enters, so the result equals that
+    of `run_pair_tomography` on the same shots.
+    """
+    arrays = {label: _shot_array(records) for label, records in shots_by_setting.items()}
+    return _reconstruct(arrays, schedule, bootstrap, seed)
+
+
 def run_pair_tomography(
     params: StateParams,
     array: DetectorArray,
@@ -335,16 +374,20 @@ def run_pair_tomography(
     bootstrap: int = 200,
     fixed_n: int | None = None,
 ) -> TomographyResult:
-    """Simulate the schedule and reconstruct; one seed covers everything."""
+    """Simulate the schedule and reconstruct; one seed covers everything.
+
+    Setting k draws the shots of `simulate_shots` with seed
+    ``array.rng_seed + 7919 (k + 1)``, kept as (n, ones, collided) arrays
+    without per-shot records.
+    """
     shots_by_setting = {}
     for k, label in enumerate(schedule):
         arr = replace(array, basis=label, rng_seed=array.rng_seed + 7919 * (k + 1))
-        shots_by_setting[label] = list(
-            simulate_shots(params, arr, shots_per_setting, fixed_n=fixed_n)
-        )
-    return reconstruct_two_body(
-        shots_by_setting, schedule, bootstrap=bootstrap, seed=array.rng_seed
-    )
+        blocks = _shot_blocks(params, arr, shots_per_setting, fixed_n)
+        shots_by_setting[label] = np.concatenate(
+            [np.stack([n, ones, collided], axis=1) for n, ones, collided, _ in blocks]
+        ).astype(float)
+    return _reconstruct(shots_by_setting, schedule, bootstrap, array.rng_seed)
 
 
 def exact_pair_probabilities(two_body: TwoBodyOdm, label: str) -> np.ndarray:

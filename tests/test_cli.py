@@ -122,6 +122,17 @@ def test_simulate_beyond_the_moment_limit_is_a_domain_error(capsys):
     assert time.perf_counter() - start < 30.0
 
 
+@pytest.mark.parametrize("bootstrap", ["1", "0", "-3"])
+def test_simulate_refuses_fewer_than_two_bootstrap_resamples(bootstrap, capsys):
+    code, out, err = run_cli(
+        ["simulate", "--nc", "4", "--ns", "0.3", "--shots", "50", "--bootstrap", bootstrap],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidShotCount"
+
+
 def test_byte_identical_reruns(capsys):
     args = ["simulate", "--nc", "6", "--ns", "0.2", "--nth", "0", "--shots", "40",
             "--seed", "5", "--m", "4096", "--bootstrap", "20"]

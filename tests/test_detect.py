@@ -7,9 +7,12 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polsqueeze import (
     StateParams,
+    detect,
     born_probability,
     build_odm,
     correlators,
@@ -24,6 +27,8 @@ from polsqueeze.detect import (
     ShotRecord,
     _CountSampler,
     _pair_counts,
+    _reconstruct,
+    _shot_array,
     _thinned_pulse_pmf,
     exact_pair_probabilities,
     reconstruct_two_body,
@@ -173,7 +178,7 @@ def test_reconstruction_on_hand_built_records():
         "RL": [[0, 3, 3, 6], [0, 0, 0, 6]],
     }
     for label, recs in shots.items():
-        rows, collided, excluded = _pair_counts(recs)
+        rows, collided, excluded = _pair_counts(_shot_array(recs))
         assert rows.tolist() == expect[label]
         assert (collided, excluded) == {"HV": (1, 3), "DA": (1, 1), "RL": (0, 1)}[label]
     res = reconstruct_two_body(shots, bootstrap=5)
@@ -189,6 +194,106 @@ def test_reconstruction_on_hand_built_records():
     theta, *_ = np.linalg.lstsq(_x_state_design(DEFAULT_SCHEDULE), freqs, rcond=None)
     mat = _theta_to_matrix(theta)
     assert res.matrix.matrix == pytest.approx(mat / np.trace(mat), abs=1e-14)
+
+
+def _per_shot_reconstruction(shots_by_setting, schedule, bootstrap, seed):
+    """The bootstrap as a sum over the resampled shots' pair rows, rep by rep."""
+    counts = {lab: _pair_counts(shots_by_setting[lab])[0] for lab in schedule}
+
+    def freqs(sel):
+        return np.concatenate([sel[lab].sum(axis=0) / sel[lab].sum() for lab in schedule])
+
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
+    reps = [freqs(counts)] + [
+        freqs({lab: counts[lab][rng.integers(0, len(counts[lab]), size=len(counts[lab]))]
+               for lab in schedule})
+        for _ in range(bootstrap)
+    ]
+    mats = _theta_to_matrix(np.array(reps) @ np.linalg.pinv(_x_state_design(schedule)).T)
+    tr = np.trace(mats, axis1=1, axis2=2)
+    mats /= np.where(tr > 0, tr, 1.0)[:, None, None]
+    deltas = np.abs(mats[:, 0, 3]) - mats[:, 1, 2]
+    return mats[0], mats[1:].std(axis=0, ddof=1), deltas[0], deltas[1:].std(ddof=1)
+
+
+def _shot_rows(n_max):
+    # (n, ones, collided) with at least one usable shot (n >= 2, not collided)
+    shot = st.integers(0, n_max).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n), st.booleans())
+    )
+    return st.lists(shot, min_size=1, max_size=40).map(
+        lambda rows: np.array(rows + [(n_max, n_max // 2, False)], dtype=float)
+    )
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    shots=st.tuples(_shot_rows(3), _shot_rows(12), _shot_rows(40)),
+    schedule=st.sampled_from([DEFAULT_SCHEDULE, ("RL", "HV", "DA", "HV")]),
+    bootstrap=st.integers(2, 12),
+    seed=st.integers(0, 2**32),
+)
+def test_grouped_bootstrap_equals_per_shot_sums(shots, schedule, bootstrap, seed):
+    by_label = dict(zip(("HV", "DA", "RL"), shots))
+    res = _reconstruct(by_label, schedule, bootstrap, seed)
+    matrix, entry_se, delta_hat, delta_se = _per_shot_reconstruction(
+        by_label, schedule, bootstrap, seed
+    )
+    assert res.matrix.matrix.tobytes() == matrix.tobytes()
+    assert res.entry_se.tobytes() == entry_se.tobytes()
+    assert (res.delta_hat, res.delta_se) == (delta_hat, delta_se)
+
+
+@pytest.mark.parametrize(
+    "params, array, shots, fixed_n",
+    [
+        (StateParams(16.0, 0.3, 0.0), DetectorArray(m=4096, rng_seed=3), 300, 16),
+        (StateParams(4.0, 0.2, 0.0), DetectorArray(m=64, efficiency=0.6, rng_seed=8), 400, None),
+        (StateParams(3.0, 0.2, 0.05), DetectorArray(m=2**16, efficiency=0.9, rng_seed=2), 300, None),
+        (StateParams(2.0, 0.1, 0.0), DetectorArray(m=2**20, rng_seed=6), _BLOCK + 50, None),
+    ],
+    ids=["fixed-n", "lossy", "thermal", "two-blocks"],
+)
+def test_tomography_equals_reconstruction_of_simulated_records(params, array, shots, fixed_n):
+    res = run_pair_tomography(params, array, shots, bootstrap=20, fixed_n=fixed_n)
+    records = {
+        lab: list(simulate_shots(
+            params,
+            DetectorArray(array.m, array.efficiency, lab, array.rng_seed + 7919 * (k + 1)),
+            shots,
+            fixed_n=fixed_n,
+        ))
+        for k, lab in enumerate(DEFAULT_SCHEDULE)
+    }
+    ref = reconstruct_two_body(records, bootstrap=20, seed=array.rng_seed)
+    assert res.matrix.matrix.tobytes() == ref.matrix.matrix.tobytes()
+    assert res.entry_se.tobytes() == ref.entry_se.tobytes()
+    assert (res.delta_hat, res.delta_se) == (ref.delta_hat, ref.delta_se)
+    assert res.collision_fraction == ref.collision_fraction
+    assert res.excluded_fraction == ref.excluded_fraction
+    assert res.shots_per_setting == ref.shots_per_setting
+    assert res.shots_per_setting == dict.fromkeys(DEFAULT_SCHEDULE, shots)
+
+
+def test_pair_tomography_builds_no_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ShotRecord was built")
+
+    monkeypatch.setattr(detect, "ShotRecord", refuse)
+    res = run_pair_tomography(StateParams(6.0, 0.3, 0.0), DetectorArray(m=256, rng_seed=1), 200)
+    assert np.isfinite(res.delta_se)
+    with pytest.raises(AssertionError):
+        next(simulate_shots(StateParams(6.0, 0.3, 0.0), DetectorArray(m=256, rng_seed=1), 2))
+
+
+@pytest.mark.parametrize("bootstrap", [1, 0, -3])
+def test_bootstrap_needs_two_resamples(bootstrap):
+    p, arr = StateParams(4.0, 0.3, 0.0), DetectorArray(m=256, rng_seed=1)
+    with pytest.raises(InvalidShotCount):
+        run_pair_tomography(p, arr, 50, bootstrap=bootstrap)
+    records = {lab: list(simulate_shots(p, arr, 50)) for lab in DEFAULT_SCHEDULE}
+    with pytest.raises(InvalidShotCount):
+        reconstruct_two_body(records, bootstrap=bootstrap)
 
 
 def test_reconstruction_consistency_with_statistics():
