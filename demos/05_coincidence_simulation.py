@@ -35,12 +35,9 @@ for n in (16, 32, 64):
     res = run_pair_tomography(
         p, DetectorArray(m=2**20, rng_seed=100 + n), shots_per_setting=shots, fixed_n=n
     )
-    total = 3 * shots
-    err1 = res.delta_se * math.sqrt(total)
-    need = total * (res.delta_se / res.delta_hat) ** 2
-    rows.append((n, err1, need))
-    print(f"N = {n:3d}: single-shot delta error {err1:.4f}, "
-          f"shots for unit signal-to-noise ~ {need:.0f}")
+    rows.append((n, res.single_shot_err))
+    print(f"N = {n:3d}: single-shot delta error {res.single_shot_err:.4f}, "
+          f"shots for unit signal-to-noise ~ {res.shots_to_1sigma:.0f}")
 slope = np.polyfit([math.log(r[0]) for r in rows], [math.log(r[1]) for r in rows], 1)[0]
 print(f"log-log slope of the single-shot error: {slope:.2f} (expect about -1)")
 print("the shot budget stays flat as N grows: entanglement certification at")

@@ -19,8 +19,8 @@ from .depth import contour_data, min_jx2_at_defect
 from .detect import DetectorArray, run_pair_tomography
 from .entanglement import (
     concurrence,
-    concurrence_max,
     delta_criterion,
+    entanglement_report,
     optimize_ns_for_concurrence,
 )
 from .fock import build_squeezed_thermal, oracle_correlation, oracle_odm
@@ -54,9 +54,9 @@ class CriterionResult:
 
 
 def _timed(fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = fn()
-    return out, time.time() - t0
+    return out, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,9 @@ def crit2_averaged() -> list[CriterionResult]:
     The entry check is expected to fail: the printed reference matrix has
     trace 0.9986, so no normalized density matrix can match all four entries
     to 5e-5.  Its composition corresponds to a truncated, un-renormalized
-    Poisson-weighted sum rather than the stated convolution mixture; both
-    weightings are provided and both reproduce the concurrence.  See the
-    repository notes for the full analysis.
+    Poisson-weighted sum rather than the stated convolution mixture.
+    `averaged_two_body` computes the convolution mixture, which reproduces
+    the concurrence.  See the repository notes for the full analysis.
     """
 
     def body():
@@ -147,9 +147,8 @@ def crit4_monogamy_ratio() -> CriterionResult:
     """Concurrence over monogamy ceiling = 0.047 +- 0.002 at N=100."""
 
     def body():
-        tb = reduced_two_body(StateParams(100.0, 0.3, 0.0), 100)
-        ratio = concurrence(tb) / concurrence_max(100)
-        return abs(ratio - 0.047) <= 0.002, f"ratio {ratio:.4f}, c_max {concurrence_max(100):.4f}"
+        rep = entanglement_report(reduced_two_body(StateParams(100.0, 0.3, 0.0), 100), 100)
+        return abs(rep.ratio - 0.047) <= 0.002, f"ratio {rep.ratio:.4f}, c_max {rep.c_max:.4f}"
 
     (ok, detail), dt = _timed(body)
     return CriterionResult("4", "monogamy ratio 4.7%", ok, dt, None, detail)
@@ -329,10 +328,8 @@ def crit10_detection_statistics(shots: int = 8333, seed: int = 20240901) -> Crit
             p = StateParams(float(n), ns, 0.0)
             arr = DetectorArray(m=2**20, rng_seed=seed + n)
             res = run_pair_tomography(p, arr, shots_per_setting=shots, fixed_n=n)
-            total = 3 * shots
-            err1 = res.delta_se * math.sqrt(total)
-            log_err1.append(math.log(err1))
-            shots_needed.append(total * (res.delta_se / res.delta_hat) ** 2)
+            log_err1.append(math.log(res.single_shot_err))
+            shots_needed.append(res.shots_to_1sigma)
         slope = np.polyfit(np.log(sizes), log_err1, 1)[0]
         flat = max(shots_needed) / min(shots_needed)
         # reproducibility: same seed, same stream
@@ -387,10 +384,8 @@ def crit11_property_suites() -> CriterionResult:
         wine_ok = True
         for ns in (0.01, 0.03, 0.1, 0.3, 1.0, 1.7):
             for n in (2, 17, 50, 100):
-                tb = reduced_two_body(StateParams(100.0, ns, 0.0), n)
-                c = concurrence(tb)
-                ratio = c * math.sqrt(n - 1)
-                wine_ok = wine_ok and c > 0.0 and ratio <= 1.0 + 1e-12
+                rep = entanglement_report(reduced_two_body(StateParams(100.0, ns, 0.0), n), n)
+                wine_ok = wine_ok and rep.concurrence > 0.0 and rep.ratio <= 1.0 + 1e-12
         msgs.append(f"squeezed implies entangled & monogamy: {wine_ok}")
         return ok and dec_ok and wine_ok, "; ".join(msgs)
 

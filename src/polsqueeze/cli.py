@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,9 +23,6 @@ from .depth import contour_data, depth_large_j, macroscopic_fraction
 from .detect import RNG_NAME, DetectorArray, run_pair_tomography, simulate_shots
 from .entanglement import (
     bipartition_negativity,
-    concurrence,
-    concurrence_max,
-    delta_criterion,
     entanglement_report,
     optimize_ns_for_concurrence,
 )
@@ -171,18 +169,7 @@ def cmd_reduced(args):
         tb = averaged_two_body(p)
     else:
         tb = reduced_two_body(p, args.n)
-    rep = entanglement_report(tb, args.n)
-    _emit_json(
-        {
-            "matrix": tb.matrix,
-            "concurrence": rep.concurrence,
-            "c_max": rep.c_max,
-            "ratio": rep.ratio,
-            "delta": rep.delta,
-            "ppt_negative": rep.ppt_negative,
-        },
-        args,
-    )
+    _emit_json({"matrix": tb.matrix, **asdict(entanglement_report(tb, args.n))}, args)
 
 
 def cmd_entangle(args):
@@ -191,15 +178,7 @@ def cmd_entangle(args):
         ns_star = optimize_ns_for_concurrence(args.nc, args.nth, args.n)
         p = StateParams(nc=args.nc, ns=ns_star, nth=args.nth)
     tb = reduced_two_body(p, args.n)
-    rep = entanglement_report(tb, args.n)
-    payload = {
-        "ns_used": p.ns,
-        "concurrence": rep.concurrence,
-        "c_max": rep.c_max,
-        "ratio": rep.ratio,
-        "delta": rep.delta,
-        "ppt_negative": rep.ppt_negative,
-    }
+    payload = {"ns_used": p.ns, **asdict(entanglement_report(tb, args.n))}
     if args.negativity_cut is not None:
         odm = build_odm(p, args.n)
         payload["negativity"] = bipartition_negativity(odm, args.negativity_cut)
@@ -208,18 +187,9 @@ def cmd_entangle(args):
 
 def _concurrence_row(nc: float, ns: float, n: int) -> dict:
     tb = reduced_two_body(StateParams(nc=nc, ns=ns, nth=0.0), n)
-    c = concurrence(tb)
-    cmax = concurrence_max(n)
-    d, _ = delta_criterion(tb)
-    return {
-        "nc": nc,
-        "ns": ns,
-        "n": n,
-        "concurrence": c,
-        "c_max": cmax,
-        "ratio": c / cmax,
-        "delta": d,
-    }
+    row = {"nc": nc, "ns": ns, "n": n, **asdict(entanglement_report(tb, n))}
+    del row["ppt_negative"]  # the sweep CSV has no PPT column
+    return row
 
 
 def cmd_sweep(args):
@@ -272,8 +242,6 @@ def cmd_simulate(args):
     schedule = _parse_schedule(args.schedule)
     arr = DetectorArray(m=args.m, efficiency=args.eta, rng_seed=args.seed)
     if args.records:
-        from dataclasses import asdict
-
         lines = [json.dumps(_header(args))]
         for rec in simulate_shots(p, arr, args.shots):
             lines.append(json.dumps(asdict(rec)))
@@ -292,26 +260,19 @@ def cmd_simulate(args):
                 bootstrap=args.bootstrap,
                 fixed_n=n,
             )
-            total = len(schedule) * args.shots
             rows.append(
                 {
                     "n": n,
                     "delta_hat": res.delta_hat,
                     "delta_se": res.delta_se,
-                    "single_shot_err": res.delta_se * math.sqrt(total),
-                    "shots_to_1sigma": total * (res.delta_se / res.delta_hat) ** 2,
+                    "single_shot_err": res.single_shot_err,
+                    "shots_to_1sigma": res.shots_to_1sigma,
                 }
             )
         _emit_csv(rows, args)
         return
     res = run_pair_tomography(
         p, arr, shots_per_setting=args.shots, schedule=schedule, bootstrap=args.bootstrap
-    )
-    total = len(schedule) * args.shots
-    shots_to_1sigma = (
-        (res.delta_se / res.delta_hat) ** 2 * total
-        if res.delta_hat > 0
-        else float("inf")
     )
     _emit_json(
         {
@@ -320,7 +281,7 @@ def cmd_simulate(args):
             "entry_se": res.entry_se,
             "delta_hat": res.delta_hat,
             "delta_se": res.delta_se,
-            "shots_to_1sigma": shots_to_1sigma,
+            "shots_to_1sigma": res.shots_to_1sigma,
             "collision_fraction": res.collision_fraction,
             "excluded_fraction": res.excluded_fraction,
         },

@@ -59,7 +59,7 @@ def _scales(ns: float, nth: float):
     return a2, t2
 
 
-def moment_integral(params: StateParams, m: int, n: int, a: int, dps: int | None = None):
+def moment_integral(params: StateParams, m: int, n: int, a: int):
     """Wigner average of (x+ip)^(n-m) (x^2+p^2)^a as the closed double sum.
 
     Requires n >= m with n - m even (raises OddOrder otherwise; callers
@@ -71,9 +71,7 @@ def moment_integral(params: StateParams, m: int, n: int, a: int, dps: int | None
     if (n - m) % 2:
         raise OddOrder(f"n - m = {n - m} is odd; the integral vanishes")
     t = (n - m) // 2
-    if dps is None:
-        dps = _base_dps(m, n)
-    with mp.workdps(dps):
+    with mp.workdps(_base_dps(m, n)):
         a2, t2 = _scales(params.ns, params.nth)
         total = mp.mpf(0)
         for u in range(t + 1):
@@ -206,22 +204,22 @@ class CorrelationTable:
             v1 = v2
 
 
-_TABLES: dict[tuple[float, float, int], CorrelationTable] = {}
+_TABLES: dict[tuple[float, float], CorrelationTable] = {}
 
 
-def table_for(params: StateParams, max_order: int = DEFAULT_MAX_ORDER) -> CorrelationTable:
+def table_for(params: StateParams) -> CorrelationTable:
     """Shared `CorrelationTable` for (ns, nth); nc plays no role here."""
-    key = (float(params.ns), float(params.nth), max_order)
+    key = (float(params.ns), float(params.nth))
     tab = _TABLES.get(key)
     if tab is None:
-        tab = CorrelationTable(params, max_order)
-        _TABLES[key] = tab
+        tab = _TABLES[key] = CorrelationTable(params)
     return tab
 
 
-def correlation(params: StateParams, m: int, n: int, max_order: int = DEFAULT_MAX_ORDER):
+def correlation(params: StateParams, m: int, n: int):
     """Memoized <(a^dag)^m a^n> for the V mode of ``params``; an mpmath float.
 
-    Zero whenever n - m is odd, symmetric under swapping m and n.
+    Zero whenever n - m is odd, symmetric under swapping m and n; orders
+    above `DEFAULT_MAX_ORDER` raise OrderTooLarge.
     """
-    return table_for(params, max_order).value(m, n)
+    return table_for(params).value(m, n)

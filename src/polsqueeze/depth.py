@@ -225,20 +225,16 @@ def min_jx2_at_defect(j: float, defect: float) -> float:
     return jx2
 
 
-def contour_data(
-    ns_range: tuple[float, float] = (1e-3, 10.0),
-    nth_range: tuple[float, float] = (1e-3, 10.0),
-    resolution: int = 41,
-) -> list[tuple[float, float, float, bool]]:
+def contour_data(resolution: int = 41) -> list[tuple[float, float, float, bool]]:
     """Macroscopic depth-fraction grid rows (ns, nth, fraction, is_grey).
 
-    Log-spaced axes; deterministic closed-form evaluation per cell.
+    Both axes log-spaced over [1e-3, 10]; deterministic closed-form
+    evaluation per cell.
     """
-    ns_axis = np.logspace(math.log10(ns_range[0]), math.log10(ns_range[1]), resolution)
-    nth_axis = np.logspace(math.log10(nth_range[0]), math.log10(nth_range[1]), resolution)
+    axis = np.logspace(-3.0, 1.0, resolution)
     rows = []
-    for nth in nth_axis:
-        for ns in ns_axis:
+    for nth in axis:
+        for ns in axis:
             frac, grey = macroscopic_fraction(float(ns), float(nth))
             rows.append((float(ns), float(nth), frac, grey))
     return rows

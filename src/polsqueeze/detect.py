@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlators import DEFAULT_MAX_ORDER
 from .errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge
 from .odm import _odm, born_probabilities
 from .reduced import TwoBodyOdm, pulse_number_pmf, default_n_cutoff
@@ -64,6 +63,8 @@ DEFAULT_SCHEDULE = ("HV", "DA", "RL")
 
 RNG_NAME = "philox4x64"  # counter-based; one stream per shot block, keyed (seed, block)
 _BLOCK = 4096  # shots per stream, each stream always drawn at full block length
+_MAX_COUNT_ORDER = 256  # largest detected photon number with a count law
+_SUM_TOL = 1e-6  # a count law summing further from 1 has lost its float precision
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,18 @@ class TomographyResult:
     excluded_fraction: float = 0.0
     seed: int = 0
 
+    @property
+    def single_shot_err(self) -> float:
+        """Standard error of delta_hat scaled to one shot: delta_se sqrt(total shots)."""
+        return self.delta_se * math.sqrt(sum(self.shots_per_setting.values()))
+
+    @property
+    def shots_to_1sigma(self) -> float:
+        """Total shots at which delta_se would reach delta_hat; inf unless delta_hat > 0."""
+        if not self.delta_hat > 0.0:
+            return math.inf
+        return sum(self.shots_per_setting.values()) * (self.delta_se / self.delta_hat) ** 2
+
 
 # ---------------------------------------------------------------------------
 # exact outcome-count distributions
@@ -137,7 +150,12 @@ def _thinned_pulse_pmf(params: StateParams, efficiency: float) -> np.ndarray:
 
 
 class _CountSampler:
-    """Exact P(count of outcome-1 | N) tables per analysis basis, one per N."""
+    """Exact P(count of outcome-1 | N) tables per analysis basis, one per N.
+
+    A rotated-basis law sums signed terms, which cancel more as N grows; a
+    law whose raw sum is off 1 by more than `_SUM_TOL` raises OrderTooLarge
+    instead of being renormalized.
+    """
 
     def __init__(self, params: StateParams, basis: str):
         if params.nc == 0.0:
@@ -149,9 +167,9 @@ class _CountSampler:
     def pmf(self, n: int) -> np.ndarray:
         out = self._cache.get(n)
         if out is None:
-            if n > DEFAULT_MAX_ORDER:
+            if n > _MAX_COUNT_ORDER:
                 raise OrderTooLarge(
-                    f"detected photon number must be <= {DEFAULT_MAX_ORDER}, got {n}"
+                    f"detected photon number must be <= {_MAX_COUNT_ORDER}, got {n}"
                 )
             odm = _odm(self.params, n)
             if self.basis == "HV":
@@ -161,7 +179,13 @@ class _CountSampler:
                 ones = np.arange(n)[None, :, None] >= n - np.arange(n + 1)[:, None, None]
                 born = born_probabilities(odm, np.where(ones, col1, col0))
                 p = np.array([float(math.comb(n, v)) for v in range(n + 1)]) * born
-            out = self._cache[n] = p / p.sum()
+            total = p.sum()
+            if not abs(total - 1.0) <= _SUM_TOL:
+                raise OrderTooLarge(
+                    f"{self.basis} count law at N = {n} is off normalization by "
+                    f"{total - 1.0:+.2g} (limit {_SUM_TOL:g}): float cancellation"
+                )
+            out = self._cache[n] = p / total
         return out
 
 

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _VCOUNTS = (0, 1, 1, 2)  # vertical photons of basis kets HH, HV, VH, VV
+_WEIGHT_FLOOR = 1e-16  # photon numbers weighted below this are left out of the average
 
 
 class TwoBodyOdm:
@@ -168,35 +169,22 @@ def default_n_cutoff(params: StateParams) -> int:
     return max(lo, int(np.argmax(cdf > 1.0 - 1e-10)))
 
 
-def averaged_two_body(
-    params: StateParams,
-    weight_mode: str = "convolved",
-    n_max: int | None = None,
-    weight_floor: float = 1e-16,
-) -> TwoBodyOdm:
+def averaged_two_body(params: StateParams) -> TwoBodyOdm:
     """Photon-number-averaged two-photon matrix, sum_N P_N * R2(N).
 
-    ``weight_mode`` selects the N weights: "convolved" (default) uses the
-    full pulse photon-number distribution (coherent convolved with squeezed
-    pairs); "poisson" weights by the coherent Poisson law alone.  Weights for
-    N < 2 are dropped and the mixture renormalized over the retained support.
-    Thermal-free states only.
+    The weights P_N are the pulse photon-number distribution (coherent
+    convolved with squeezed pairs) up to `default_n_cutoff`.  Weights for
+    N < 2 or below `_WEIGHT_FLOOR` are dropped and the mixture renormalized
+    over the retained support.  Thermal-free states only.
     """
     if params.nth != 0.0:
         raise UnsupportedThermal("averaged matrix defined for nth = 0 only")
-    if weight_mode not in ("convolved", "poisson"):
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
-    if n_max is None:
-        n_max = default_n_cutoff(params)
-    if weight_mode == "convolved":
-        weights = pulse_number_pmf(params, n_max)
-    else:
-        weights = _poisson_pmf(params.nc, n_max)
+    weights = pulse_number_pmf(params, default_n_cutoff(params))
     acc = np.zeros((4, 4))
     total = 0.0
-    for n in range(2, n_max + 1):
+    for n in range(2, weights.size):
         w = weights[n]
-        if w < weight_floor:
+        if w < _WEIGHT_FLOOR:
             continue
         acc += w * reduced_two_body(params, n).matrix
         total += w

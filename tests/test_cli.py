@@ -122,6 +122,28 @@ def test_simulate_beyond_the_moment_limit_is_a_domain_error(capsys):
     assert time.perf_counter() - start < 30.0
 
 
+def test_simulate_refuses_a_count_law_lost_to_cancellation(capsys):
+    # the DA law at N = 128 sums to 1 + 4.8e-4 before normalization
+    code, out, err = run_cli(
+        ["simulate", "--nc", "1", "--ns", "0.3", "--scan-n", "128", "--shots", "5",
+         "--bootstrap", "2"], capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "OrderTooLarge"
+
+
+def test_scan_row_without_a_signal_needs_infinite_shots(capsys):
+    # unsqueezed light: delta_hat = 0 on these shots
+    code, out, _ = run_cli(
+        ["simulate", "--nc", "1", "--ns", "0", "--scan-n", "2", "--shots", "2",
+         "--bootstrap", "2", "--seed", "9"], capsys,
+    )
+    assert code == 0
+    header, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert dict(zip(header, row))["shots_to_1sigma"] == "inf"
+
+
 @pytest.mark.parametrize("bootstrap", ["1", "0", "-3"])
 def test_simulate_refuses_fewer_than_two_bootstrap_resamples(bootstrap, capsys):
     code, out, err = run_cli(

@@ -21,10 +21,12 @@ from polsqueeze import (
 )
 from polsqueeze.detect import (
     _BLOCK,
+    _MAX_COUNT_ORDER,
     DEFAULT_SCHEDULE,
     DetectorArray,
     SETTING_BASES,
     ShotRecord,
+    TomographyResult,
     _CountSampler,
     _pair_counts,
     _reconstruct,
@@ -336,11 +338,25 @@ def test_rotated_count_distributions_are_normalized_and_subshot():
     var = ((v - mean) ** 2 * pv).sum()
     y_var = 4 * var  # Y = n - 2v
     assert y_var < n  # sub-shot-noise: the entanglement signature
-    # and matches the pair expectation from the reduced matrix
-    tb = reduced_two_body(p, n)
-    q = exact_pair_probabilities(tb, "RL")
-    yy = q[0] - q[1] - q[2] + q[3]
-    assert (y_var - n) / (n * (n - 1)) == pytest.approx(yy, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+@pytest.mark.parametrize("label", ["DA", "RL"])
+def test_rotated_count_law_factorial_moments_match_the_pair_law(label, n):
+    # E[v] = N p1 and E[v (v - 1)] = N (N - 1) p11 for v photons with outcome 1
+    p = StateParams(float(n), 0.3, 0.0)
+    pv = _CountSampler(p, label).pmf(n)
+    q = exact_pair_probabilities(reduced_two_body(p, n), label)  # index 2 o1 + o2
+    v = np.arange(n + 1)
+    assert (v * pv).sum() == pytest.approx(n * (q[2] + q[3]), rel=1e-6)
+    assert (v * (v - 1) * pv).sum() == pytest.approx(n * (n - 1) * q[3], rel=1e-6)
+
+
+@pytest.mark.parametrize("nc, ns, n", [(128.0, 0.3, 128), (300.0, 3.0, 100)])
+def test_count_law_refuses_a_sum_eaten_by_cancellation(nc, ns, n):
+    # the raw DA law is off 1 by 4.8e-4 and 1.4e-4 here
+    with pytest.raises(OrderTooLarge, match="DA count law at N = "):
+        _CountSampler(StateParams(nc, ns, 0.0), "DA").pmf(n)
 
 
 @pytest.mark.parametrize("label", ["DA", "RL"])
@@ -411,7 +427,19 @@ def test_count_laws_stay_finite_where_moments_pass_the_float_range(nc, n):
 def test_count_law_refuses_orders_beyond_the_moment_limit():
     sampler = _CountSampler(StateParams(2.0, 0.3, 0.0), "DA")
     with pytest.raises(OrderTooLarge):
-        sampler.pmf(correlators.DEFAULT_MAX_ORDER + 1)
+        sampler.pmf(_MAX_COUNT_ORDER + 1)
+
+
+@pytest.mark.parametrize(
+    "delta_hat, expected", [(0.02, 150 * 0.5**2), (0.0, math.inf), (-0.02, math.inf)]
+)
+def test_shots_to_1sigma_is_infinite_without_a_positive_signal(delta_hat, expected):
+    res = TomographyResult(
+        matrix=None, entry_se=np.zeros((4, 4)), delta_hat=delta_hat, delta_se=0.01,
+        shots_per_setting={"HV": 50, "DA": 50, "RL": 50},
+    )
+    assert res.shots_to_1sigma == pytest.approx(expected, rel=1e-15)
+    assert res.single_shot_err == pytest.approx(0.01 * math.sqrt(150), rel=1e-15)
 
 
 def test_thinning_matches_binomial_sum():
