@@ -1,11 +1,10 @@
 """Monte Carlo model of multi-analyzer coincidence detection.
 
 The beam is split symmetrically onto M polarization analyzers.  Per shot the
-simulator draws the detected photon number from the pulse distribution
-(binomially thinned by the channel transmission; thermal parameter sets are
-routed through their pure-state preimage, whose normalized coincidence
-observables are identical), then the count of outcome-1 clicks from the
-exact diagonal of the N-photon observable matrix in the shot's analysis
+simulator draws the detected photon number from the pulse law of the beam
+after the channel loss (`reduced.pulse_number_pmf` of `apply_loss`'s
+parameters: loss is exact binomial thinning, for thermal states too), then
+the count of outcome-1 clicks from the exact count law of the shot's analysis
 basis, and finally the analyzer of each photon.  Shots are drawn in blocks
 of `_BLOCK` from one counter-based stream per block, keyed (seed, block
 index), so shot i depends only on (seed, i).
@@ -14,8 +13,8 @@ All analyzers share one basis per shot; that keeps the outcome distribution
 exchangeable, so it depends only on the count of "second output" clicks.
 Rotated-basis count distributions are genuinely sub-binomial for squeezed
 input (that is the entanglement signature), so no independent-photon
-shortcut is taken: the count law is the Born rule of `odm.Odm` for one product
-outcome per count (all in one pass) times the number of patterns with that count.
+shortcut is taken: the laws of every N up to `_MAX_COUNT_ORDER` come from one
+pass over the state's normally ordered generating function (`_count_laws`).
 
 Reconstruction averages every ordered pair of photons in every shot, per
 setting, and linearly inverts the pooled pair frequencies into the X-shaped
@@ -35,10 +34,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge
-from .odm import _odm, born_probabilities
-from .reduced import TwoBodyOdm, pulse_number_pmf, default_n_cutoff
-from .state import StateParams, purify
+from .errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge, RepeatedSetting
+from .reduced import TwoBodyOdm, _series, default_n_cutoff, pulse_number_pmf
+from .state import StateParams, apply_loss
 
 __all__ = [
     "DetectorArray",
@@ -63,8 +61,8 @@ DEFAULT_SCHEDULE = ("HV", "DA", "RL")
 
 RNG_NAME = "philox4x64"  # counter-based; one stream per shot block, keyed (seed, block)
 _BLOCK = 4096  # shots per stream, each stream always drawn at full block length
-_MAX_COUNT_ORDER = 256  # largest detected photon number with a count law
-_SUM_TOL = 1e-6  # a count law summing further from 1 has lost its float precision
+_MAX_COUNT_ORDER = 1024  # largest detected photon number with a count law ((N+1)^2 table)
+_LAW_TOL = 1e-9  # a count law with more imaginary residue or negative mass lost precision
 
 
 @dataclass(frozen=True)
@@ -124,69 +122,86 @@ class TomographyResult:
 # exact outcome-count distributions
 
 
-def _thinned_pulse_pmf(params: StateParams, efficiency: float) -> np.ndarray:
-    """Detected-photon-number law: pulse distribution binomially thinned.
+def _detected_number_pmf(params: StateParams, efficiency: float, fixed_n: int | None):
+    """Law of the detected photon number: all mass on ``fixed_n`` when given
+    (post-selection), else the pulse law of the beam after loss, cut after its
+    last entry above 1e-12."""
+    if fixed_n is not None:
+        return (np.arange(fixed_n + 1) == fixed_n).astype(float)
+    pulse = pulse_number_pmf(apply_loss(params, efficiency), default_n_cutoff(params))
+    return pulse[: np.flatnonzero(pulse > 1e-12)[-1] + 1]
 
-    Thermal parameters are replaced by their pure preimage with the state
-    loss folded into the thinning (each photon of the pure pulse survives
-    independently).  The thinned law is the coefficient vector of the
-    generating function sum_n p_n (1 - eta + eta z)^n, expanded by Horner's
-    rule; every term is non-negative.  The result is normalised over the
-    cutoff.
+
+def _rotated_laws(params: StateParams, basis: str, n_top: int) -> np.ndarray:
+    """Row N: P(r outcome-1 photons | N) in ``basis`` for r, N <= n_top, complex as read.
+
+    P_N(r) = [z^r] f_N(z) / f_N(1), f_N = [t^N] F(t B(z)), with B(z) = conj(c0)
+    c0^T + z conj(c1) c1^T on a_i^dag a_j and F the Gaussian normally ordered
+    generating function (Glauber): log F = sum_k g_k t^k, p, q = B_VV (nbar +- M),
+    g_1 = nc B_HH + (p + q) / 2, g_k = (p^k + q^k) / (2k) + A p^(k-2) - C q^(k-2),
+    A = nc (B_VH + B_HV)^2 (nbar + M) / 4, C = nc (B_HV - B_VH)^2 (nbar - M) / 4.
+    Miller's exponential n f_n = sum_k k g_k f_(n-k), its sum carried as two
+    running sums per family, runs on the n_top + 1 roots of unity z (state
+    rescaled by powers of two to stay finite); an FFT reads the r-coefficients.
+    At z = 1 every g_k is >= 0, so the error is absolute, near machine precision.
     """
-    eta = efficiency
-    p = params
-    if params.nth != 0.0:
-        p, eta_state = purify(params)
-        eta = eta * eta_state
-    n_max = default_n_cutoff(p)
-    out = pulse_number_pmf(p, n_max)
-    if eta != 1.0:
-        base, out = out, np.zeros(n_max + 1)
-        for n in range(n_max, -1, -1):
-            out[1:] = out[1:] * (1.0 - eta) + out[:-1] * eta
-            out[0] = out[0] * (1.0 - eta) + base[n]
-    return out / out.sum()
+    from numpy.fft import fft
+
+    size = n_top + 1
+    c0, c1 = SETTING_BASES[basis].T
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    b = np.conj(c0)[:, None] * c0 + z[:, None, None] * (np.conj(c1)[:, None] * c1)
+    nbar_m = params.vmode_mean + np.array([[1.0], [-1.0]]) * params.anomalous_moment
+    h, ps = params.nc * b[:, 0, 0], b[:, 1, 1] * nbar_m
+    coef = 0.25 * params.nc * nbar_m * np.stack(
+        [(b[:, 1, 0] + b[:, 0, 1]) ** 2, -((b[:, 0, 1] - b[:, 1, 0]) ** 2)])
+    # rows (p, A) and (q, -C): y_n = sum_k (p^k/2 + k A p^(k-2)) f_(n-k),
+    # x_n = A sum_k p^(k-2) f_(n-k), so that n f_n = h f_(n-1) + y_n summed
+    f = np.ones((size, size), dtype=complex)  # row n holds f_n; f_0 = 1
+    prev, y, x = np.zeros(size, complex), np.zeros((2, size), complex), np.zeros((2, size), complex)
+    for n in range(n_top):
+        cur = f[n]
+        y = ps * (0.5 * cur + y + x) + 2.0 * coef * prev
+        x = ps * x + coef * prev
+        f[n + 1] = (h * cur + y[0] + y[1]) / (n + 1)
+        if not 2.0**-500 < abs(f[n + 1, 0]) < 2.0**500:
+            scale = math.ldexp(1.0, -math.frexp(abs(f[n + 1, 0]))[1])
+            f[n + 1], cur, y, x = f[n + 1] * scale, cur * scale, y * scale, x * scale
+        prev = cur
+    return fft(f, axis=1) / (size * f[:, :1])
 
 
-class _CountSampler:
-    """Exact P(count of outcome-1 | N) tables per analysis basis, one per N.
+def _count_laws(params: StateParams, basis: str, n_top: int) -> np.ndarray:
+    """Exact P(count of outcome 1 | N) in ``basis``, row N for N = 0 .. n_top.
 
-    A rotated-basis law sums signed terms, which cancel more as N grows; a
-    law whose raw sum is off 1 by more than `_SUM_TOL` raises OrderTooLarge
-    instead of being renormalized.
+    In HV, F(t; diag(1, z)) = e^(t nc) <:exp(t z a^dag a):> factorizes: P_N(v)
+    ~ phi_v nc^(N-v) / (N-v)!, phi_v = <(a^dag)^v a^v> / v!, both factors from
+    positive series, so every entry keeps its relative precision.  A rotated
+    law (`_rotated_laws`) with imaginary residue or negative mass past
+    `_LAW_TOL` raises OrderTooLarge.
     """
-
-    def __init__(self, params: StateParams, basis: str):
-        if params.nc == 0.0:
-            raise ValueError("detection model needs nc > 0 (bright reference beam)")
-        self.params = params if params.nth == 0.0 else purify(params)[0]
-        self.basis = basis
-        self._cache: dict[int, np.ndarray] = {}
-
-    def pmf(self, n: int) -> np.ndarray:
-        out = self._cache.get(n)
-        if out is None:
-            if n > _MAX_COUNT_ORDER:
-                raise OrderTooLarge(
-                    f"detected photon number must be <= {_MAX_COUNT_ORDER}, got {n}"
-                )
-            odm = _odm(self.params, n)
-            if self.basis == "HV":
-                p = odm.vcount_probabilities()
-            else:  # row v: outcome 0 on the first n - v photons, outcome 1 after
-                col0, col1 = SETTING_BASES[self.basis].T
-                ones = np.arange(n)[None, :, None] >= n - np.arange(n + 1)[:, None, None]
-                born = born_probabilities(odm, np.where(ones, col1, col0))
-                p = np.array([float(math.comb(n, v)) for v in range(n + 1)]) * born
-            total = p.sum()
-            if not abs(total - 1.0) <= _SUM_TOL:
-                raise OrderTooLarge(
-                    f"{self.basis} count law at N = {n} is off normalization by "
-                    f"{total - 1.0:+.2g} (limit {_SUM_TOL:g}): float cancellation"
-                )
-            out = self._cache[n] = p / total
-        return out
+    if params.nc == 0.0:
+        raise ValueError("detection model needs nc > 0 (bright reference beam)")
+    if n_top > _MAX_COUNT_ORDER:
+        raise OrderTooLarge(f"detected photon number must be <= {_MAX_COUNT_ORDER}, got {n_top}")
+    if basis == "HV":
+        nbar = params.vmode_mean
+        m_phi, e_phi = _series(2.0 * nbar, nbar, params.anomalous_excess, n_top)
+        m_pois, e_pois = _series(0.0, params.nc, 0.0, n_top)  # nc^j / j!
+        k = np.arange(n_top + 1)
+        j = np.maximum(k[:, None] - k, 0)  # N - v
+        mant, expo = np.tril(m_phi * m_pois[j]), e_phi + e_pois[j]
+        top = np.where(mant > 0.0, expo, expo.min()).max(axis=1, keepdims=True)
+        laws = np.ldexp(mant, expo - top)
+    else:
+        raw = _rotated_laws(params, basis, n_top)
+        laws = np.tril(raw.real)
+        lost = max(np.abs(raw.imag).max(), -np.minimum(laws, 0.0).sum(axis=1).min())
+        if lost > _LAW_TOL:
+            raise OrderTooLarge(f"{basis} count laws up to N = {n_top} lost precision: imaginary "
+                                f"residue or negative mass {lost:.2g} > {_LAW_TOL:g}")
+        laws = np.maximum(laws, 0.0)
+    return laws / laws.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +214,22 @@ def _inverse_cdf(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
-def _shot_blocks(params: StateParams, array: DetectorArray, shots: int, fixed_n: int | None):
+def _shot_blocks(params: StateParams, array: DetectorArray, shots: int, n_law: np.ndarray):
     """Yield ``(n, ones, collided, where)`` arrays, one tuple per block of shots.
 
     Each block of `_BLOCK` shots comes from one Philox stream keyed
     (seed, block index) and is always drawn at full block length; the last
-    block is cut to the shots asked for.  ``where`` holds the analyzer of
-    every photon, shot after shot.
+    block is cut to the shots asked for; N is drawn from ``n_law``.  ``where``
+    holds the analyzer of every photon, shot after shot.
     """
     if shots < 1:
         raise InvalidShotCount(f"shots must be >= 1, got {shots}")
-    if fixed_n is None:
-        pulse = _thinned_pulse_pmf(params, array.efficiency)
-        n_top = int(np.nonzero(pulse > 1e-12)[0][-1])
-    else:
-        n_top = fixed_n
-    sampler = _CountSampler(params, array.basis)
-    if n_top:
-        sampler.pmf(n_top)  # past the moment-order limit this fails before any shot
+    laws = _count_laws(params, array.basis, len(n_law) - 1)  # past the order limit: no shot
     seed = array.rng_seed & 0xFFFFFFFFFFFFFFFF
     for start in range(0, shots, _BLOCK):
         rng = np.random.Generator(np.random.Philox(key=[seed, start // _BLOCK]))
         u_n, u_v = rng.random((2, _BLOCK))
-        n = _inverse_cdf(pulse, u_n) if fixed_n is None else np.full(_BLOCK, fixed_n)
+        n = _inverse_cdf(n_law, u_n)
         where = rng.integers(0, array.m, size=n.sum())
         k = min(_BLOCK, shots - start)
         n, u_v = n[:k], u_v[:k]
@@ -229,7 +237,7 @@ def _shot_blocks(params: StateParams, array: DetectorArray, shots: int, fixed_n:
         ones = np.zeros(k, dtype=int)
         for size in np.unique(n[n > 0]):
             sel = n == size
-            ones[sel] = _inverse_cdf(sampler.pmf(int(size)), u_v[sel])
+            ones[sel] = _inverse_cdf(laws[size, : size + 1], u_v[sel])
         # sorted keys shot * m + analyzer put a shot's repeated analyzers side by side
         keys = np.sort(np.repeat(np.arange(k), n) * array.m + where)
         collided = np.bincount(keys[1:][keys[1:] == keys[:-1]] // array.m, minlength=k) > 0
@@ -241,10 +249,9 @@ def simulate_shots(
 ):
     """Yield `ShotRecord`s; shot i depends only on (array.rng_seed, i).
 
-    Each block of `_BLOCK` shots comes from one Philox stream keyed
-    (seed, block index) and always drawn at full block length, so the
-    records of a run are a prefix of those of any longer run.  Per shot:
-    detected N by inverse CDF of the thinned pulse law, the outcome-1 count
+    Shots come in `_shot_blocks`, so the records of a run are a prefix of
+    those of any longer run.  Per shot:
+    detected N by inverse CDF of the pulse law after loss, the outcome-1 count
     by inverse CDF of the exact count law in ``array.basis``, and N analyzer
     indices drawn uniformly with replacement; two photons on one analyzer
     flag the shot collided.  The first ``ones`` photons carry outcome 1,
@@ -253,7 +260,8 @@ def simulate_shots(
     sampling it.  `run_pair_tomography` draws the same shots without
     building records.
     """
-    for n, ones, collided, where in _shot_blocks(params, array, shots, fixed_n):
+    n_law = _detected_number_pmf(params, array.efficiency, fixed_n)
+    for n, ones, collided, where in _shot_blocks(params, array, shots, n_law):
         where, pos = where.tolist(), 0
         for size, v, c in zip(n.tolist(), ones.tolist(), collided.tolist()):
             bits = (1,) * v + (0,) * (size - v)
@@ -269,13 +277,21 @@ def _x_state_design(schedule) -> np.ndarray:
     """Rows: P(outcome pair | setting) as linear functionals of the X-state.
 
     Parameter vector theta = (rho_11, rho_22, rho_33, rho_44, Re rho_14,
-    Re rho_23) under the real-matrix convention.
+    Re rho_23) under the real-matrix convention.  The schedule must name each
+    setting once (else RepeatedSetting) and span theta (else IncompleteSchedule).
     """
+    for label in set(schedule) - SETTING_BASES.keys():
+        raise ValueError(f"unknown basis {label!r}")
+    if len(set(schedule)) < len(schedule):
+        raise RepeatedSetting(f"settings {tuple(schedule)} name a setting more than once")
     bases = np.array([SETTING_BASES[label] for label in schedule]).reshape(-1, 2, 2)
     # kets[4s + 2 o1 + o2] = basis[:, o1] (x) basis[:, o2] of setting s
     kets = np.einsum("sio,sjp->sopij", bases, bases).reshape(-1, 4)
     proj = kets[:, [0, 1, 2, 3, 3, 2]] * kets[:, [0, 1, 2, 3, 0, 1]].conj()
-    return proj.real * np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+    design = proj.real * np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+    if np.linalg.matrix_rank(design) < 6:
+        raise IncompleteSchedule(f"settings {tuple(schedule)} do not span the X-state parameters")
+    return design
 
 
 def _theta_to_matrix(theta: np.ndarray) -> np.ndarray:
@@ -325,10 +341,6 @@ def _reconstruct(
     if bootstrap < 2:
         raise InvalidShotCount(f"bootstrap needs >= 2 resamples, got {bootstrap}")
     design = _x_state_design(schedule)
-    if np.linalg.matrix_rank(design) < 6:
-        raise IncompleteSchedule(
-            f"settings {tuple(schedule)} do not span the X-state parameters"
-        )
     no_shots = np.empty((0, 3))
     groups, collided, excluded = {}, 0, 0  # label -> (distinct rows, row of each shot)
     for label in schedule:
@@ -346,10 +358,8 @@ def _reconstruct(
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
     mult = {lab: [multiplicity(lab, slice(None))] for lab in groups}
     for _ in range(bootstrap):
-        # one draw per schedule entry, in order; a repeated label keeps its last draw
-        picks = {lab: rng.integers(0, size[lab], size=size[lab]) for lab in schedule}
-        for lab, idx in picks.items():
-            mult[lab].append(multiplicity(lab, idx))
+        for lab in schedule:  # one draw per setting, in schedule order
+            mult[lab].append(multiplicity(lab, rng.integers(0, size[lab], size=size[lab])))
     sums = {lab: np.array(m) @ groups[lab][0] for lab, m in mult.items()}
     freqs = np.concatenate(
         [sums[lab] / sums[lab].sum(axis=1, keepdims=True) for lab in schedule], axis=1
@@ -379,12 +389,12 @@ def reconstruct_two_body(
     """Linear-inversion X-state estimate from pair-averaged shot records.
 
     ``shots_by_setting`` maps setting labels to shot-record lists; the
-    schedule must span the six real X-state parameters or IncompleteSchedule
-    is raised.  Collided and sub-two-photon shots are excluded (fractions
-    reported).  Bootstrap over shots (``bootstrap`` >= 2 resamples, else
-    InvalidShotCount) gives entry and delta standard errors.  Only each
-    record's (n_detected, ones, collided) enters, so the result equals that
-    of `run_pair_tomography` on the same shots.
+    schedule is checked by `_x_state_design`.  Collided and sub-two-photon
+    shots are excluded (fractions reported).  Bootstrap over shots
+    (``bootstrap`` >= 2 resamples, else InvalidShotCount) gives entry and
+    delta standard errors.  Only each record's (n_detected, ones, collided)
+    enters, so the result equals that of `run_pair_tomography` on the same
+    shots.
     """
     arrays = {label: _shot_array(records) for label, records in shots_by_setting.items()}
     return _reconstruct(arrays, schedule, bootstrap, seed)
@@ -402,12 +412,15 @@ def run_pair_tomography(
 
     Setting k draws the shots of `simulate_shots` with seed
     ``array.rng_seed + 7919 (k + 1)``, kept as (n, ones, collided) arrays
-    without per-shot records.
+    without per-shot records.  The schedule is checked before any shot is
+    drawn; the detected-number law is built once.
     """
+    _x_state_design(schedule)
+    n_law = _detected_number_pmf(params, array.efficiency, fixed_n)
     shots_by_setting = {}
     for k, label in enumerate(schedule):
         arr = replace(array, basis=label, rng_seed=array.rng_seed + 7919 * (k + 1))
-        blocks = _shot_blocks(params, arr, shots_per_setting, fixed_n)
+        blocks = _shot_blocks(params, arr, shots_per_setting, n_law)
         shots_by_setting[label] = np.concatenate(
             [np.stack([n, ones, collided], axis=1) for n, ones, collided, _ in blocks]
         ).astype(float)

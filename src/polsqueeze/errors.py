@@ -33,8 +33,8 @@ class TooFewPhotons(PolsqueezeError, ValueError):
     """A two-body reduction needs at least two photons."""
 
 
-class UnsupportedThermal(PolsqueezeError, ValueError):
-    """Photon-number weighting is only defined for thermal-free parameters."""
+class RepeatedSetting(PolsqueezeError, ValueError):
+    """A tomography schedule names one analysis setting more than once."""
 
 
 class NotAState(PolsqueezeError, ValueError):

@@ -32,7 +32,6 @@ __all__ = [
     "closed_form_r2",
     "closed_form_r3",
     "born_probability",
-    "born_probabilities",
     "phase_average",
 ]
 
@@ -127,34 +126,22 @@ def phase_average(odm: Odm) -> Odm:
     return Odm(n=odm.n, table=table, trace=odm.trace)
 
 
-def born_probabilities(odm: Odm, settings) -> np.ndarray:
-    """Detection probabilities of product polarization outcomes, in one pass.
-
-    ``settings[r]`` is one normalized complex 2-vector (H, V amplitudes) per
-    photon for outcome r; its probability is the diagonal matrix element of
-    the normalized matrix in that product state, O(N^2) via the table.
-    """
+def born_probability(odm: Odm, settings) -> float:
+    """Detection probability of one product polarization outcome, ``settings``
+    one normalized complex (H, V) 2-vector per photon: the normalized matrix's
+    diagonal element in that product state, O(N^2) via the table."""
     settings = np.asarray(settings, dtype=complex)
-    if settings.ndim != 3 or settings.shape[1:] != (odm.n, 2):
-        raise ValueError(f"need {odm.n} two-component settings per outcome")
+    if settings.shape != (odm.n, 2):
+        raise ValueError(f"need {odm.n} two-component settings")
     off = np.abs(np.linalg.norm(settings, axis=-1) - 1.0)
     if (off > 1e-9).any():
         raise NonNormalizedSetting(f"a setting's norm is off 1 by {off.max():.3g}")
-    # e[r, v] = sum over basis kets with v vertical photons of the conjugated
-    # product amplitude of outcome r; one polynomial multiplication per photon
-    h, v = np.conj(settings[..., 0]), np.conj(settings[..., 1])
-    e = np.zeros((len(settings), odm.n + 1), dtype=complex)
-    e[:, 0] = 1.0
-    for k in range(odm.n):
-        e[:, 1 : k + 2] = e[:, 1 : k + 2] * h[:, k, None] + e[:, : k + 1] * v[:, k, None]
-        e[:, 0] *= h[:, k]
-    val = np.einsum("ij,ij->i", np.conj(e) @ odm.normalized_table(), e)
-    return np.clip(val.real, 0.0, 1.0)
-
-
-def born_probability(odm: Odm, settings) -> float:
-    """`born_probabilities` of the single outcome ``settings``."""
-    return float(born_probabilities(odm, [settings])[0])
+    # e[v] = sum over basis kets with v vertical photons of the conjugated
+    # product amplitude: the coefficients of prod_k (conj h_k + conj v_k x)
+    e = np.ones(1, dtype=complex)
+    for hv in np.conj(settings):
+        e = np.convolve(e, hv)
+    return float(np.clip((np.conj(e) @ odm.normalized_table() @ e).real, 0.0, 1.0))
 
 
 def closed_form_r2(params: StateParams) -> np.ndarray:

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from . import correlators
-from .errors import OrderTooLarge, TooFewPhotons, UnsupportedThermal
+from .errors import OrderTooLarge, TooFewPhotons
 from .state import StateParams
 
 __all__ = [
@@ -97,25 +97,10 @@ def reduced_two_body(params: StateParams, n_photons: int) -> TwoBodyOdm:
 def squeezed_pair_distribution(ns: float, k_max: int) -> np.ndarray:
     """Probability of k photon pairs from the squeezed vacuum beam.
 
-    P(2k photons) = ns^k (2k)! / [4^k (1+ns)^(k+1/2) (k!)^2]; odd photon
-    numbers never occur.  The exponent sign on (1+ns) is fixed by requiring
-    the distribution to sum to one (and it matches the truncated-Fock
-    diagonal).
+    P(2k photons) = ns^k (2k)! / [4^k (1+ns)^(k+1/2) (k!)^2], the pulse law
+    at nc = nth = 0; odd photon numbers never occur.
     """
-    if ns == 0.0:
-        out = np.zeros(k_max + 1)
-        out[0] = 1.0
-        return out
-    out = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        out[k] = math.exp(
-            math.lgamma(2 * k + 1)
-            + k * math.log(ns)
-            - k * math.log(4.0)
-            - (k + 0.5) * math.log1p(ns)
-            - 2 * math.lgamma(k + 1)
-        )
-    return out
+    return pulse_number_pmf(StateParams(0.0, ns), 2 * k_max)[::2]
 
 
 def _poisson_pmf(lam: float, n_max: int) -> np.ndarray:
@@ -128,57 +113,65 @@ def _poisson_pmf(lam: float, n_max: int) -> np.ndarray:
     return np.exp(-lam + n * math.log(lam) - lg)
 
 
-def photon_number_distribution(params: StateParams, n: int) -> float:
-    """P(N photons in the pulse) for a thermal-free state; see `pulse_number_pmf`.
-
-    Raises UnsupportedThermal when nth != 0.
+def _series(a1: float, a0: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """y_n = m_n 2^e_n (m_n in [1/2, 1) or 0), n <= n_max: y_0 = 1, (n+1) y_(n+1)
+    = (a1 n + a0) y_n + n b y_(n-1), no negative term for a1, a0, b >= 0; (2a, a, b)
+    gives (1 - 2 a s - b s^2)^(-1/2), (0, c, 0) e^(c s).  The pair is carried scaled
+    by a power of two, so nothing overflows or underflows; y_n rounding below 0 is 0.
     """
+    m, e = np.zeros(n_max + 1), np.zeros(n_max + 1, dtype=np.int64)
+    y0, y, shift = 0.0, 1.0, 0
+    for n in range(n_max + 1):
+        if y and not 2.0**-500 < abs(y) < 2.0**500:
+            k = math.frexp(y)[1]
+            y0, y, shift = math.ldexp(y0, -k), math.ldexp(y, -k), shift + k
+        if y > 0.0:
+            m[n], e[n] = math.frexp(y)
+            e[n] += shift
+        y0, y = y, ((a1 * n + a0) * y + n * b * y0) / (n + 1)
+    return m, e
+
+
+def photon_number_distribution(params: StateParams, n: int) -> float:
+    """P(N photons in the pulse); see `pulse_number_pmf`."""
     pmf = pulse_number_pmf(params, max(n, 0))
     return float(pmf[n]) if n >= 0 else 0.0
 
 
 def pulse_number_pmf(params: StateParams, n_max: int) -> np.ndarray:
-    """P(N photons in the pulse) for N = 0 .. n_max, thermal-free states only.
+    """P(N photons in the pulse) for N = 0 .. n_max, for any (nc, ns, nth).
 
-    Convolution of the Poisson coherent distribution with the even-only
-    squeezed-vacuum distribution.
+    Poisson(nc) convolved with the V-mode law <:exp((x - 1) a^dag a):> (Mandel)
+    = (q0 - 2 nth (1 + nth) x - num x^2)^(-1/2), num = `anomalous_excess`, q0 =
+    1 + 2 nbar - num: no negative term when num >= 0 (any pure state after loss).
+    Loss is exact binomial thinning: a lossy beam's law is `apply_loss`'s.
     """
-    if params.nth != 0.0:
-        raise UnsupportedThermal("photon-number distribution defined for nth = 0 only")
-    pois = _poisson_pmf(params.nc, n_max)
-    pairs = squeezed_pair_distribution(params.ns, n_max // 2)
-    out = np.zeros(n_max + 1)
-    for k in range(n_max // 2 + 1):  # ascending k: each out[n] sums its terms in k order
-        out[2 * k :] += pairs[k] * pois[: n_max + 1 - 2 * k]
-    return out
+    num = params.anomalous_excess
+    q0 = 1.0 + 2.0 * params.vmode_mean - num
+    a = params.nth * (1.0 + params.nth) / q0
+    vmode = np.ldexp(*_series(2.0 * a, a, num / q0, n_max)) / math.sqrt(q0)
+    return np.convolve(_poisson_pmf(params.nc, n_max), vmode)[: n_max + 1]
 
 
 def default_n_cutoff(params: StateParams) -> int:
-    """Photon-number cutoff leaving < 1e-10 of pulse mass in the tail.
-
-    Never below nc + 10 sqrt(nc) + 60, which covers the coherent part alone.
-    """
-    lo = int(params.nc + 10.0 * math.sqrt(params.nc) + 20.0) + 40
-    if params.ns == 0.0:
-        return lo
-    # pairs fall off faster than q^k, q = ns/(1+ns): P(pairs > k) <= sqrt(1+ns) q^(k+1)
-    k = math.ceil((0.5 * math.log1p(params.ns) - math.log(5e-11)) / math.log1p(1.0 / params.ns))
-    even = np.zeros(2 * k + 1)
-    even[::2] = squeezed_pair_distribution(params.ns, k)
-    cdf = np.cumsum(np.convolve(_poisson_pmf(params.nc, lo + 2 * k), even)[: lo + 2 * k + 1])
-    return max(lo, int(np.argmax(cdf > 1.0 - 1e-10)))
+    """First photon number n >= nc + 10 sqrt(nc) + 60 below which the pulse
+    law holds all but 1e-10 of its mass."""
+    lo = n_max = int(params.nc + 10.0 * math.sqrt(params.nc) + 20.0) + 40
+    while True:
+        past = np.flatnonzero(np.cumsum(pulse_number_pmf(params, n_max))[lo:] > 1.0 - 1e-10)
+        if past.size:
+            return lo + int(past[0])
+        n_max *= 2
 
 
 def averaged_two_body(params: StateParams) -> TwoBodyOdm:
     """Photon-number-averaged two-photon matrix, sum_N P_N * R2(N).
 
     The weights P_N are the pulse photon-number distribution (coherent
-    convolved with squeezed pairs) up to `default_n_cutoff`.  Weights for
+    convolved with the V-mode law) up to `default_n_cutoff`.  Weights for
     N < 2 or below `_WEIGHT_FLOOR` are dropped and the mixture renormalized
-    over the retained support.  Thermal-free states only.
+    over the retained support.
     """
-    if params.nth != 0.0:
-        raise UnsupportedThermal("averaged matrix defined for nth = 0 only")
     weights = pulse_number_pmf(params, default_n_cutoff(params))
     acc = np.zeros((4, 4))
     total = 0.0

@@ -63,6 +63,11 @@ class StateParams:
         return math.sqrt(self.ns * (self.ns + 1.0)) * (1.0 + 2.0 * self.nth)
 
     @property
+    def anomalous_excess(self) -> float:
+        """<a_V^2>^2 - <a_V^dag a_V>^2 = ns + 2*ns*nth - nth**2; > 0 iff pure after loss."""
+        return self.ns + 2.0 * self.ns * self.nth - self.nth**2
+
+    @property
     def antisqueeze_ratio(self) -> float:
         """sqrt(ns) + sqrt(ns+1); the x-quadrature noise is scaled by its square."""
         return math.sqrt(self.ns) + math.sqrt(self.ns + 1.0)
@@ -155,7 +160,7 @@ def purify(params: StateParams) -> tuple[StateParams, float]:
     NonPurifiable
         If the state is too thermal to arise from a pure state under loss.
     """
-    num = params.ns + 2.0 * params.ns * params.nth - params.nth**2
+    num = params.anomalous_excess
     if params.nth == 0.0:
         return params, 1.0
     if num <= 0.0:

@@ -114,23 +114,35 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_simulate_beyond_the_moment_limit_is_a_domain_error(capsys):
-    # ns = 20 puts detected photon numbers above the count-table order limit
+    # ns = 30 puts detected photon numbers (up to 1276) above the count-law order limit
     start = time.perf_counter()
-    code, _, err = run_cli(["simulate", "--nc", "0.5", "--ns", "20", "--shots", "5"], capsys)
+    code, _, err = run_cli(["simulate", "--nc", "0.5", "--ns", "30", "--shots", "5"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "OrderTooLarge"
     assert time.perf_counter() - start < 30.0
 
 
-def test_simulate_refuses_a_count_law_lost_to_cancellation(capsys):
-    # the DA law at N = 128 sums to 1 + 4.8e-4 before normalization
-    code, out, err = run_cli(
+def test_simulate_scans_photon_numbers_past_the_born_rule_limit(capsys):
+    # N = 128 at ns = 0.3, where the Born-rule DA law was lost to cancellation
+    code, out, _ = run_cli(
         ["simulate", "--nc", "1", "--ns", "0.3", "--scan-n", "128", "--shots", "5",
          "--bootstrap", "2"], capsys,
     )
+    assert code == 0
+    header, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert dict(zip(header, row))["n"] == "128"
+
+
+def test_simulate_refuses_a_schedule_that_repeats_a_setting(tmp_path, capsys):
+    sched = tmp_path / "schedule.txt"
+    sched.write_text("HV\nDA\nRL\nRL\n")
+    code, out, err = run_cli(
+        ["simulate", "--nc", "6", "--ns", "0.3", "--m", "16", "--shots", "400",
+         "--schedule", str(sched)], capsys,
+    )
     assert code == 3
     assert out == ""
-    assert json.loads(err)["error"] == "OrderTooLarge"
+    assert json.loads(err)["error"] == "RepeatedSetting"
 
 
 def test_scan_row_without_a_signal_needs_infinite_shots(capsys):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from polsqueeze import (
     StateParams,
+    apply_loss,
     detect,
-    born_probability,
     build_odm,
     correlators,
     purify,
@@ -27,11 +27,12 @@ from polsqueeze.detect import (
     SETTING_BASES,
     ShotRecord,
     TomographyResult,
-    _CountSampler,
+    _count_laws,
+    _detected_number_pmf,
     _pair_counts,
     _reconstruct,
+    _rotated_laws,
     _shot_array,
-    _thinned_pulse_pmf,
     exact_pair_probabilities,
     reconstruct_two_body,
     run_pair_tomography,
@@ -39,9 +40,15 @@ from polsqueeze.detect import (
     _x_state_design,
     _theta_to_matrix,
 )
-from polsqueeze.errors import IncompleteSchedule, InvalidShotCount, OrderTooLarge
-from polsqueeze.odm import _odm
-from polsqueeze.reduced import default_n_cutoff, pulse_number_pmf
+from polsqueeze.errors import (
+    IncompleteSchedule,
+    InvalidShotCount,
+    NonPurifiable,
+    OrderTooLarge,
+    RepeatedSetting,
+)
+from polsqueeze.odm import _odm, _scaled_moments
+from polsqueeze.reduced import TwoBodyOdm, default_n_cutoff, pulse_number_pmf
 
 
 def test_shot_validation():
@@ -101,7 +108,7 @@ def test_vcount_statistics_match_observable_diagonal():
     counts = np.zeros(n + 1)
     for rec in simulate_shots(p, arr, shots, fixed_n=n):
         counts[rec.ones] += 1
-    pv = _CountSampler(p, "HV").pmf(n)
+    pv = _count_laws(p, "HV", n)[n]
     for v in range(n + 1):
         if pv[v] * shots < 5:
             continue
@@ -147,6 +154,8 @@ def test_design_matrix_completeness():
         reconstruct_two_body({"HV": []}, schedule=("HV",))
     with pytest.raises(IncompleteSchedule):
         reconstruct_two_body({"HV": [], "DA": []}, schedule=("HV", "DA"))
+    with pytest.raises(ValueError, match="unknown basis 'XY'"):
+        run_pair_tomography(StateParams(2.0, 0.3, 0.0), DetectorArray(m=16), 5, ("HV", "XY"))
 
 
 def test_linear_inversion_exact_frequencies():
@@ -231,7 +240,7 @@ def _shot_rows(n_max):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     shots=st.tuples(_shot_rows(3), _shot_rows(12), _shot_rows(40)),
-    schedule=st.sampled_from([DEFAULT_SCHEDULE, ("RL", "HV", "DA", "HV")]),
+    schedule=st.sampled_from([DEFAULT_SCHEDULE, ("RL", "HV", "DA")]),
     bootstrap=st.integers(2, 12),
     seed=st.integers(0, 2**32),
 )
@@ -288,6 +297,21 @@ def test_pair_tomography_builds_no_records(monkeypatch):
         next(simulate_shots(StateParams(6.0, 0.3, 0.0), DetectorArray(m=256, rng_seed=1), 2))
 
 
+def test_schedule_repeating_a_setting_is_refused_before_any_shot(monkeypatch):
+    schedule = ("HV", "DA", "RL", "RL")
+    p, arr = StateParams(6.0, 0.3, 0.0), DetectorArray(m=16, rng_seed=1)
+    records = {lab: list(simulate_shots(p, arr, 20)) for lab in DEFAULT_SCHEDULE}
+    with pytest.raises(RepeatedSetting):
+        reconstruct_two_body(records, schedule=schedule)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shot was drawn")
+
+    monkeypatch.setattr(detect, "_shot_blocks", refuse)
+    with pytest.raises(RepeatedSetting):
+        run_pair_tomography(p, arr, 400, schedule=schedule)
+
+
 @pytest.mark.parametrize("bootstrap", [1, 0, -3])
 def test_bootstrap_needs_two_resamples(bootstrap):
     p, arr = StateParams(4.0, 0.3, 0.0), DetectorArray(m=256, rng_seed=1)
@@ -328,11 +352,11 @@ def test_rotated_count_distributions_are_normalized_and_subshot():
     n = 30
     p = StateParams(float(n), 0.3, 0.0)
     for label in ("DA", "RL"):
-        pv = _CountSampler(p, label).pmf(n)
+        pv = _count_laws(p, label, n)[n]
         assert pv.sum() == pytest.approx(1.0, abs=1e-9)
         assert (pv >= 0).all()
     # the circular-basis count distribution is squeezed below binomial noise
-    pv = _CountSampler(p, "RL").pmf(n)
+    pv = _count_laws(p, "RL", n)[n]
     v = np.arange(n + 1)
     mean = (v * pv).sum()
     var = ((v - mean) ** 2 * pv).sum()
@@ -345,24 +369,63 @@ def test_rotated_count_distributions_are_normalized_and_subshot():
 def test_rotated_count_law_factorial_moments_match_the_pair_law(label, n):
     # E[v] = N p1 and E[v (v - 1)] = N (N - 1) p11 for v photons with outcome 1
     p = StateParams(float(n), 0.3, 0.0)
-    pv = _CountSampler(p, label).pmf(n)
+    pv = _count_laws(p, label, n)[n]
     q = exact_pair_probabilities(reduced_two_body(p, n), label)  # index 2 o1 + o2
     v = np.arange(n + 1)
     assert (v * pv).sum() == pytest.approx(n * (q[2] + q[3]), rel=1e-6)
     assert (v * (v - 1) * pv).sum() == pytest.approx(n * (n - 1) * q[3], rel=1e-6)
 
 
-@pytest.mark.parametrize("nc, ns, n", [(128.0, 0.3, 128), (300.0, 3.0, 100)])
-def test_count_law_refuses_a_sum_eaten_by_cancellation(nc, ns, n):
-    # the raw DA law is off 1 by 4.8e-4 and 1.4e-4 here
-    with pytest.raises(OrderTooLarge, match="DA count law at N = "):
-        _CountSampler(StateParams(nc, ns, 0.0), "DA").pmf(n)
+def _wick_two_body(p, n):
+    """R2 of N photons from the float Wick table: R2[r, s] ~ sum_m C(N-2, m) S[r+m, s+m]."""
+    s = _scaled_moments(p, n)
+    m = np.arange(n - 1)
+    binom = np.array([float(math.comb(n - 2, k)) for k in m])
+    hh, hv, vv, hhvv = (binom @ s[r + m, t + m] for r, t in ((0, 0), (1, 1), (2, 2), (0, 2)))
+    mat = np.array([[hh, 0, 0, hhvv], [0, hv, hv, 0], [0, hv, hv, 0], [hhvv, 0, 0, vv]])
+    return TwoBodyOdm(mat / np.trace(mat), n)
+
+
+@pytest.mark.parametrize(
+    "nc, ns, n", [(128.0, 0.3, 128), (300.0, 3.0, 100), (160.0, 0.3, 160), (256.0, 0.3, 256)]
+)
+@pytest.mark.parametrize("label", ["DA", "RL"])
+def test_rotated_count_law_factorial_moments_at_large_n(label, nc, ns, n):
+    # where the Born-rule sums lost the law to cancellation (N >= 128)
+    p = StateParams(nc, ns, 0.0)
+    pv = _count_laws(p, label, n)[n]
+    q = exact_pair_probabilities(_wick_two_body(p, n), label)
+    v = np.arange(n + 1)
+    assert (v * pv).sum() == pytest.approx(n * (q[2] + q[3]), rel=1e-9)
+    assert (v * (v - 1) * pv).sum() == pytest.approx(n * (n - 1) * q[3], rel=1e-9)
+
+
+def test_count_laws_at_a_thousand_photons():
+    n = 1000
+    p = StateParams(float(n), 0.3, 0.0)
+    v = np.arange(n + 1)
+    for label in ("DA", "RL"):
+        raw = _rotated_laws(p, label, n)[n]
+        assert raw.real.min() >= -1e-12
+        assert np.abs(raw.imag).max() <= 1e-12
+        assert (v * raw.real).sum() == pytest.approx(n / 2, rel=1e-12)
+    hv = _count_laws(p, "HV", n)[n]
+    assert np.abs(hv - _odm(p, n).vcount_probabilities()).max() <= 1e-12
+
+
+def test_non_purifiable_state_simulates():
+    p = StateParams(1.0, 0.01, 0.5)
+    with pytest.raises(NonPurifiable):
+        purify(p)
+    res = run_pair_tomography(p, DetectorArray(m=2**20, efficiency=0.8, rng_seed=2), 200)
+    assert np.isfinite(res.matrix.matrix).all()
+    assert np.isfinite(res.delta_se)
 
 
 @pytest.mark.parametrize("label", ["DA", "RL"])
 def test_rotated_count_law_matches_dense_born_rule(label):
     p = StateParams(3.0, 0.3, 0.05)
-    sampler = _CountSampler(p, label)
+    laws = _count_laws(p, label, 8)
     pure = purify(p)[0]
     for n in range(1, 9):
         rho = build_odm(pure, n).dense()
@@ -372,27 +435,52 @@ def test_rotated_count_law_matches_dense_born_rule(label):
         probs = np.real(np.diag(u.conj().T @ rho @ u))
         ones = np.array([i.bit_count() for i in range(1 << n)])
         expected = np.bincount(ones, weights=probs, minlength=n + 1)
-        assert sampler.pmf(n) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert laws[n, : n + 1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_count_laws_build_no_correlator_tables():
     before = set(correlators._TABLES)
     for label in ("HV", "DA", "RL"):
-        _CountSampler(StateParams(6.0, 0.2345678, 0.0123), label).pmf(30)
+        _count_laws(StateParams(6.0, 0.2345678, 0.0123), label, 30)
     assert set(correlators._TABLES) == before
+
+
+def _born_law_mpmath(p, label, n, dps=80):
+    """C(N, r) times the Born probability of one product outcome with r ones, 80 digits."""
+    with mp.workdps(dps):
+        x, y = mp.mpf(p.vmode_mean), mp.sqrt(mp.mpf(p.ns) * (p.ns + 1)) * (1 + 2 * mp.mpf(p.nth))
+        e = [[mp.mpf(0)] * (n + 1) for _ in range(n + 1)]  # <(a^dag)^v a^w>
+        e[0][0] = mp.mpf(1)
+        for k in range(2, n + 1, 2):
+            e[0][k] = (k - 1) * y * e[0][k - 2]
+        for m in range(n):
+            for w in range(n + 1):
+                e[m + 1][w] = (w * x * e[m][w - 1] if w else 0) + (m * y * e[m - 1][w] if m else 0)
+        alpha = mp.sqrt(p.nc)
+        half = 1 / mp.sqrt(2)
+        col0, col1 = {"DA": ((half, half), (half, -half)),
+                      "RL": ((half, 1j * half), (half, -1j * half))}[label]
+        out = []
+        for r in range(n + 1):
+            amp = [mp.mpc(1)]  # conjugated product amplitude by vertical count
+            for h, v in [col0] * (n - r) + [col1] * r:
+                h, v = mp.conj(h), mp.conj(v)
+                amp = [a * h + b * v for a, b in zip(amp + [0], [0] + amp)]
+            val = mp.fsum(
+                mp.conj(amp[i]) * alpha ** (2 * n - i - j) * e[i][j] * amp[j]
+                for i in range(n + 1) for j in range(n + 1)
+            )
+            out.append(math.comb(n, r) * mp.re(val))
+        total = mp.fsum(out)
+        return np.array([float(o / total) for o in out])
 
 
 @pytest.mark.parametrize("label", ["DA", "RL"])
 def test_batched_count_law_matches_per_outcome_born_rule(label):
     n = 30
     p = StateParams(float(n), 0.3, 0.0)
-    odm = _odm(p, n)
-    col0, col1 = SETTING_BASES[label].T
-    loop = np.array(
-        [math.comb(n, v) * born_probability(odm, [col0] * (n - v) + [col1] * v)
-         for v in range(n + 1)]
-    )
-    assert _CountSampler(p, label).pmf(n) == pytest.approx(loop / loop.sum(), abs=1e-15)
+    ref = _born_law_mpmath(p, label, n)
+    assert _count_laws(p, label, n)[n] == pytest.approx(ref, abs=1e-15)
 
 
 def _hv_law_mpmath(p, n):
@@ -416,18 +504,17 @@ def test_count_laws_stay_finite_where_moments_pass_the_float_range(nc, n):
     # the largest moment is about 2^1379 at nc = 0.5 and 2^2648 at nc = 1e-3
     p = StateParams(nc, 3.0, 0.0)
     for label in ("HV", "DA", "RL"):
-        pv = _CountSampler(p, label).pmf(n)
+        pv = _count_laws(p, label, n)[n]
         assert np.isfinite(pv).all()
         assert pv.sum() == pytest.approx(1.0, abs=1e-12)
     ref = _hv_law_mpmath(p, n)
     keep = ref > 1e-300
-    assert _CountSampler(p, "HV").pmf(n)[keep] == pytest.approx(ref[keep], rel=1e-12)
+    assert _count_laws(p, "HV", n)[n][keep] == pytest.approx(ref[keep], rel=1e-12)
 
 
 def test_count_law_refuses_orders_beyond_the_moment_limit():
-    sampler = _CountSampler(StateParams(2.0, 0.3, 0.0), "DA")
     with pytest.raises(OrderTooLarge):
-        sampler.pmf(_MAX_COUNT_ORDER + 1)
+        _count_laws(StateParams(2.0, 0.3, 0.0), "DA", _MAX_COUNT_ORDER + 1)
 
 
 @pytest.mark.parametrize(
@@ -443,32 +530,37 @@ def test_shots_to_1sigma_is_infinite_without_a_positive_signal(delta_hat, expect
 
 
 def test_thinning_matches_binomial_sum():
-    p = StateParams(4.0, 0.3, 0.0)
+    # the detected-number law is the pulse law after loss: exact binomial thinning
     eta = 0.55
-    base = pulse_number_pmf(p, default_n_cutoff(p))
-    direct = np.zeros(base.size)
-    for n, pn in enumerate(base):
-        for k in range(n + 1):
-            direct[k] += pn * math.comb(n, k) * eta**k * (1 - eta) ** (n - k)
-    direct /= direct.sum()
-    got = _thinned_pulse_pmf(p, eta)
-    keep = direct > 1e-12
-    assert got[keep] == pytest.approx(direct[keep], rel=1e-13)
+    for p in (StateParams(4.0, 0.3, 0.0), StateParams(2.0, 0.1, 0.05)):
+        cut = default_n_cutoff(p)
+        base = pulse_number_pmf(p, 2 * cut)  # the tail past the cutoff thins into it
+        direct = np.zeros(cut + 1)
+        for n, pn in enumerate(base):
+            for k in range(min(n, cut) + 1):
+                direct[k] += pn * math.comb(n, k) * eta**k * (1 - eta) ** (n - k)
+        got = _detected_number_pmf(p, eta, None)
+        assert got[-1] > 1e-12 >= direct[got.size :].max()
+        keep = got > 1e-300
+        assert got[keep] == pytest.approx(direct[: got.size][keep], rel=1e-12)
 
 
 def test_reduction_and_lossy_sampling_do_not_import_scipy():
     code = (
         "import sys\n"
+        "import polsqueeze\n"
+        "fft_on_import = 'numpy.fft' in sys.modules\n"
         "from polsqueeze import StateParams, reduced_two_body\n"
-        "from polsqueeze.detect import DetectorArray, simulate_shots\n"
+        "from polsqueeze.detect import DetectorArray, run_pair_tomography, simulate_shots\n"
         "reduced_two_body(StateParams(4.0, 0.3, 0.0), 8)\n"
         "arr = DetectorArray(m=64, efficiency=0.5, rng_seed=1)\n"
         "list(simulate_shots(StateParams(3.0, 0.1, 0.02), arr, 20))\n"
-        "print('scipy' in sys.modules)\n"
+        "run_pair_tomography(StateParams(3.0, 0.1, 0.02), arr, 20, bootstrap=2)\n"
+        "print(fft_on_import, 'scipy' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -11,7 +11,7 @@ from polsqueeze import (
     purify,
     reduced_two_body,
 )
-from polsqueeze.errors import TooFewPhotons, UnsupportedThermal
+from polsqueeze.errors import TooFewPhotons
 from polsqueeze.fock import build_squeezed_thermal
 from polsqueeze.reduced import (
     _poisson_pmf,
@@ -121,8 +121,8 @@ def test_photon_number_distribution():
     assert photon_number_distribution(p0, 0) == 1.0
     p1 = StateParams(1.0, 0.0, 0.0)
     assert photon_number_distribution(p1, 1) == pytest.approx(math.exp(-1), rel=1e-12)
-    with pytest.raises(UnsupportedThermal):
-        photon_number_distribution(StateParams(1.0, 0.1, 0.1), 2)
+    thermal = StateParams(0.0, 0.0, 0.5)  # Bose-Einstein: nth^n / (1 + nth)^(n+1)
+    assert photon_number_distribution(thermal, 3) == pytest.approx(0.125 / 1.5**4, rel=1e-14)
 
 
 def test_pulse_pmf_normalization():
@@ -136,13 +136,21 @@ def test_pulse_pmf_normalization():
 
 
 def test_pulse_pmf_sums_in_the_order_of_the_convolution_loop():
+    # the recurrence law equals the coherent law convolved with the pair law
     p = StateParams(6.0, 1.3, 0.0)
     n_max = default_n_cutoff(p)
     got = pulse_number_pmf(p, n_max)
     pois = _poisson_pmf(6.0, n_max)
-    pairs = squeezed_pair_distribution(1.3, n_max // 2)
-    loop = [sum(pois[n - 2 * k] * pairs[k] for k in range(n // 2 + 1)) for n in range(n_max + 1)]
-    assert got.tolist() == loop
+    pairs = [  # the closed form of squeezed_pair_distribution
+        math.exp(math.lgamma(2 * k + 1) + k * math.log(1.3 / 4.0) - (k + 0.5) * math.log1p(1.3)
+                 - 2 * math.lgamma(k + 1))
+        for k in range(n_max // 2 + 1)
+    ]
+    loop = np.array(
+        [sum(pois[n - 2 * k] * pairs[k] for k in range(n // 2 + 1)) for n in range(n_max + 1)]
+    )
+    keep = loop > 1e-300
+    assert got[keep] == pytest.approx(loop[keep], rel=1e-12)
 
 
 @pytest.mark.parametrize("nc, ns", [(1.0, 1.7), (0.5, 5.0), (2.0, 20.0)])
@@ -153,9 +161,25 @@ def test_default_cutoff_covers_strong_squeezing(nc, ns):
     assert n_max >= int(nc + 10.0 * math.sqrt(nc) + 20.0) + 40
 
 
-def test_averaged_requires_thermal_free():
-    with pytest.raises(UnsupportedThermal):
-        averaged_two_body(StateParams(1.0, 0.1, 0.2))
+def test_averaged_thermal_equals_the_thinned_purified_mixture():
+    # weights: the purified pulse law binomially thinned by the purifying loss;
+    # matrices: those of the purified state, which loss leaves unchanged
+    p = StateParams(1.5, 0.2, 0.05)
+    pure, eta = purify(p)
+    cut = default_n_cutoff(p)
+    base = pulse_number_pmf(pure, 2 * default_n_cutoff(pure))
+    weights = np.zeros(cut + 1)
+    for n, pn in enumerate(base):
+        for k in range(min(n, cut) + 1):
+            weights[k] += pn * math.comb(n, k) * eta**k * (1 - eta) ** (n - k)
+    num = np.zeros((4, 4))
+    den = 0.0
+    for n in range(2, cut + 1):
+        if weights[n] < 1e-16:
+            continue
+        num += weights[n] * reduced_two_body(pure, n).matrix
+        den += weights[n]
+    assert np.abs(averaged_two_body(p).matrix - num / den).max() < 1e-12
 
 
 def test_averaged_small_flux_reduces_to_mixture():
