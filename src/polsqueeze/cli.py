@@ -3,7 +3,8 @@
 Every run is fully determined by its flags (plus ``--seed`` where randomness
 exists); outputs carry a header echoing the configuration so emitted files
 are self-describing.  JSON goes to stdout by default, CSV rows carry
-``#``-prefixed header lines.  Exit codes: 0 success, 2 usage/validation
+``#``-prefixed header lines.  Exit codes: 0 success, 1 ``verify`` found a
+criterion failing (or an expected failure passing), 2 usage/validation
 errors, 3 numeric-domain errors raised by the library.
 """
 
@@ -20,7 +21,13 @@ import numpy as np
 from . import __version__
 from . import acceptance as acc
 from .depth import contour_data, depth_large_j, macroscopic_fraction
-from .detect import RNG_NAME, DetectorArray, run_pair_tomography, simulate_shots
+from .detect import (
+    RNG_NAME,
+    DetectorArray,
+    run_pair_tomography,
+    scan_photon_numbers,
+    simulate_shots,
+)
 from .entanglement import (
     bipartition_negativity,
     entanglement_report,
@@ -249,26 +256,20 @@ def cmd_simulate(args):
         return
     if args.scan_n:
         sizes = [int(x) for x in args.scan_n.split(",")]
-        rows = []
-        for n in sizes:
-            pn = StateParams(nc=float(n), ns=args.ns, nth=args.nth)
-            res = run_pair_tomography(
-                pn,
-                DetectorArray(m=args.m, efficiency=args.eta, rng_seed=args.seed + n),
-                shots_per_setting=args.shots,
-                schedule=schedule,
-                bootstrap=args.bootstrap,
-                fixed_n=n,
-            )
-            rows.append(
-                {
-                    "n": n,
-                    "delta_hat": res.delta_hat,
-                    "delta_se": res.delta_se,
-                    "single_shot_err": res.single_shot_err,
-                    "shots_to_1sigma": res.shots_to_1sigma,
-                }
-            )
+        scan = scan_photon_numbers(
+            args.ns, args.nth, sizes, m=args.m, efficiency=args.eta, seed=args.seed,
+            shots=args.shots, schedule=schedule, bootstrap=args.bootstrap,
+        )
+        rows = [
+            {
+                "n": n,
+                "delta_hat": res.delta_hat,
+                "delta_se": res.delta_se,
+                "single_shot_err": res.single_shot_err,
+                "shots_to_1sigma": res.shots_to_1sigma,
+            }
+            for n, res in zip(sizes, scan)
+        ]
         _emit_csv(rows, args)
         return
     res = run_pair_tomography(
@@ -337,10 +338,7 @@ def cmd_figure_data(args):
 
 
 def cmd_verify(args):
-    results = acc.run_all(
-        skip_slow=args.skip_slow, shots=args.shots, seed=args.seed
-    )
-    ok = acc.print_table(results)
+    ok = acc.print_table(acc.run_all(args.skip_slow, args.shots, args.seed))
     raise SystemExit(0 if ok else 1)
 
 
@@ -442,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="run the acceptance suite")
     s.add_argument("--skip-slow", action="store_true")
-    s.add_argument("--shots", type=int, default=8333)
-    s.add_argument("--seed", type=int, default=20240901)
+    s.add_argument("--shots", type=int, default=acc.SHOTS)
+    s.add_argument("--seed", type=int, default=acc.SEED)
     s.set_defaults(func=cmd_verify)
 
     return ap

@@ -118,7 +118,7 @@ def _coeff_row(t: int, a: int) -> list[int]:
 
 
 def _moment_sum(ns: float, nth: float, m: int, n: int):
-    """(value, max |partial|) of sum_a Upsilon * I at the working precision.
+    """sum_a Upsilon * I at the working precision.
 
     Algebraically identical to ``sum(upsilon(m,n,a) * moment_integral(...))``
     with the double factorial pulled out of the inner index sum; assumes
@@ -131,7 +131,6 @@ def _moment_sum(ns: float, nth: float, m: int, n: int):
     fact_n = math.factorial(n)
     fact_m = math.factorial(m)
     total = mp.mpf(0)
-    max_part = mp.mpf(0)
     for a in range(m + 1):
         row = _coeff_row(t, a)
         inner = mp.mpf(0)
@@ -146,9 +145,7 @@ def _moment_sum(ns: float, nth: float, m: int, n: int):
         if (m - a) % 2:
             part = -part
         total += part
-        if abs(part) > max_part:
-            max_part = abs(part)
-    return total, max_part
+    return total
 
 
 class CorrelationTable:
@@ -194,10 +191,10 @@ class CorrelationTable:
                 return mp.mpf(math.factorial(m)) * mp.mpf(nth) ** m
         dps = _base_dps(m, n)
         with mp.workdps(dps):
-            v1, _ = _moment_sum(ns, nth, m, n)
+            v1 = _moment_sum(ns, nth, m, n)
         while True:
             with mp.workdps(dps + _GUARD_DPS):
-                v2, _ = _moment_sum(ns, nth, m, n)
+                v2 = _moment_sum(ns, nth, m, n)
             if v2 != 0 and abs(v1 - v2) <= _GUARD_TOL * abs(v2):
                 return v2
             dps = int(dps * 1.6) + _GUARD_DPS

@@ -47,6 +47,7 @@ __all__ = [
     "simulate_shots",
     "reconstruct_two_body",
     "run_pair_tomography",
+    "scan_photon_numbers",
     "exact_pair_probabilities",
 ]
 
@@ -425,6 +426,29 @@ def run_pair_tomography(
             [np.stack([n, ones, collided], axis=1) for n, ones, collided, _ in blocks]
         ).astype(float)
     return _reconstruct(shots_by_setting, schedule, bootstrap, array.rng_seed)
+
+
+def scan_photon_numbers(
+    ns: float, nth: float, sizes, *, m: int, efficiency: float, seed: int, shots: int,
+    schedule, bootstrap: int,
+) -> list[TomographyResult]:
+    """Pair tomography at each photon number N of ``sizes``, in order.
+
+    N runs at nc = N, post-selected on N detected photons, on its own seed
+    ``seed + N``: the scan behind the 1/N single-shot error and the flat
+    shot budget.
+    """
+    return [
+        run_pair_tomography(
+            StateParams(float(n), ns, nth),
+            DetectorArray(m=m, efficiency=efficiency, rng_seed=seed + n),
+            shots_per_setting=shots,
+            schedule=schedule,
+            bootstrap=bootstrap,
+            fixed_n=n,
+        )
+        for n in sizes
+    ]
 
 
 def exact_pair_probabilities(two_body: TwoBodyOdm, label: str) -> np.ndarray:

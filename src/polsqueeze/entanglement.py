@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NotAState
+from .errors import DimensionTooLarge, NotAState, TooFewPhotons
 from .odm import Odm
 from .reduced import TwoBodyOdm, reduced_two_body
 from .state import StateParams
@@ -75,7 +75,9 @@ def concurrence(state) -> float:
 
 
 def concurrence_max(n_photons: int) -> float:
-    """Monogamy ceiling 1/sqrt(N-1) for a symmetric N-photon state."""
+    """Monogamy ceiling 1/sqrt(N-1) for a symmetric N-photon state, N >= 2."""
+    if n_photons < 2:
+        raise TooFewPhotons(f"a monogamy ceiling needs at least 2 photons, got {n_photons}")
     return 1.0 / math.sqrt(n_photons - 1)
 
 

@@ -18,7 +18,9 @@ class OddOrder(PolsqueezeError, ValueError):
 
 
 class OrderTooLarge(PolsqueezeError, ValueError):
-    """Correlation order beyond the configured table limit."""
+    """Correlation order beyond the configured table limit; in `detect`, a
+    detected photon number above the count-law order limit, or a rotated
+    count law that lost its precision to cancellation."""
 
 
 class CutoffTooSmall(PolsqueezeError):

@@ -170,7 +170,8 @@ def averaged_two_body(params: StateParams) -> TwoBodyOdm:
     The weights P_N are the pulse photon-number distribution (coherent
     convolved with the V-mode law) up to `default_n_cutoff`.  Weights for
     N < 2 or below `_WEIGHT_FLOOR` are dropped and the mixture renormalized
-    over the retained support.
+    over the retained support; a pulse law with no retained weight raises
+    TooFewPhotons.
     """
     weights = pulse_number_pmf(params, default_n_cutoff(params))
     acc = np.zeros((4, 4))
@@ -182,5 +183,5 @@ def averaged_two_body(params: StateParams) -> TwoBodyOdm:
         acc += w * reduced_two_body(params, n).matrix
         total += w
     if total == 0.0:
-        raise ValueError("no photon-number weight on N >= 2")
+        raise TooFewPhotons("no photon-number weight on N >= 2")
     return TwoBodyOdm(acc / total, None)

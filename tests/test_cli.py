@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from polsqueeze.acceptance import CriterionResult, print_table
 from polsqueeze.cli import main
+from polsqueeze.detect import DEFAULT_SCHEDULE, scan_photon_numbers
 
 
 def run_cli(args, capsys):
@@ -154,6 +156,87 @@ def test_scan_row_without_a_signal_needs_infinite_shots(capsys):
     assert code == 0
     header, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
     assert dict(zip(header, row))["shots_to_1sigma"] == "inf"
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_averaged_monogamy_ceiling_below_two_photons_is_a_domain_error(n, capsys):
+    code, out, err = run_cli(
+        ["reduced", "--nc", "3", "--ns", "0.3", "--averaged", "--n", n], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "TooFewPhotons"
+
+
+def test_averaged_state_without_two_photon_weight_is_a_domain_error(capsys):
+    code, _, err = run_cli(
+        ["reduced", "--nc", "1e-9", "--ns", "0", "--n", "2", "--averaged"], capsys
+    )
+    assert code == 3
+    assert json.loads(err)["error"] == "TooFewPhotons"
+
+
+def test_scan_rows_are_the_shared_photon_number_scan(capsys):
+    code, out, _ = run_cli(
+        ["simulate", "--nc", "1", "--ns", "0.3", "--scan-n", "16,32", "--shots", "50",
+         "--bootstrap", "2"], capsys,
+    )
+    assert code == 0
+    header, *rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    scan = scan_photon_numbers(
+        0.3, 0.0, (16, 32), m=2**20, efficiency=1.0, seed=0, shots=50,
+        schedule=DEFAULT_SCHEDULE, bootstrap=2,
+    )
+    assert len(rows) == len(scan) == 2
+    for row, res in zip(rows, scan):
+        cells = dict(zip(header, row))
+        assert cells["single_shot_err"] == f"{res.single_shot_err:.12g}"
+        assert cells["shots_to_1sigma"] == f"{res.shots_to_1sigma:.12g}"
+
+
+def _result(cid, passed, runtime_s, limit_s=None, known_defect=None):
+    return CriterionResult(
+        cid=cid, name=f"case {cid}", limit_s=limit_s, known_defect=known_defect,
+        passed=passed, runtime_s=runtime_s, detail=f"detail {cid}",
+    )
+
+
+_PASS = _result("1", True, 1.23, limit_s=10.0)
+_FAIL = _result("2", False, 0.5)
+_OVER_LIMIT = _result("3", True, 12.0, limit_s=10.0)
+_KNOWN_DEFECT = _result("4a", False, 0.3, known_defect="reference is inconsistent")
+_UNEXPECTED_PASS = _result("4b", True, 0.3, known_defect="reference is inconsistent")
+
+
+def test_print_table_lines_and_verdict(capsys):
+    assert print_table([_PASS, _FAIL, _OVER_LIMIT, _KNOWN_DEFECT, _UNEXPECTED_PASS]) is False
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion   1  case 1    PASS [1.2s/10s]",
+        "              detail 1",
+        "criterion   2  case 2    FAIL [0.5s]",
+        "              detail 2",
+        "criterion   3  case 3    FAIL [12.0s/10s]",
+        "              detail 3",
+        "criterion  4a  case 4a   FAIL (known reference defect) [0.3s]",
+        "              detail 4a",
+        "criterion  4b  case 4b   UNEXPECTED PASS (known reference defect) [0.3s]",
+        "              detail 4b",
+    ]
+    assert print_table([_PASS, _KNOWN_DEFECT]) is True
+    for blocking in (_FAIL, _OVER_LIMIT, _UNEXPECTED_PASS):
+        assert print_table([_PASS, _KNOWN_DEFECT, blocking]) is False
+
+
+@pytest.mark.parametrize("results, code", [
+    ([_PASS, _KNOWN_DEFECT], 0),
+    ([_PASS, _UNEXPECTED_PASS], 1),
+    ([_OVER_LIMIT], 1),
+])
+def test_verify_exit_code(results, code, monkeypatch, capsys):
+    monkeypatch.setattr("polsqueeze.acceptance.run_all", lambda skip_slow, shots, seed: results)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == code
 
 
 @pytest.mark.parametrize("bootstrap", ["1", "0", "-3"])
