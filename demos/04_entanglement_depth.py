@@ -3,7 +3,7 @@
 The depth bound converts (polarization, transverse noise) into a minimum
 entangled-cluster size.  The macroscopic fraction is 1 for pure squeezed
 states and degrades with thermal noise; the exact small-spin boundary from
-truncated diagonalization validates the closed form.
+one tridiagonal block solve validates the closed form.
 """
 
 import math

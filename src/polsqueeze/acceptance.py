@@ -205,7 +205,7 @@ def _weak_beam_limits():
 
 
 def _large_j_bound():
-    """Exact truncated diagonalization vs the closed form, footnote bound."""
+    """Exact tridiagonal block solve vs the closed form, footnote bound."""
     worst = 0.0
     for j in (50, 100, 200):
         for db in np.linspace(0.1, 2.0, 12):

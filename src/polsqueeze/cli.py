@@ -245,20 +245,14 @@ def _parse_schedule(sched: str):
 
 
 def cmd_simulate(args):
-    p = _params(args)
-    schedule = _parse_schedule(args.schedule)
-    arr = DetectorArray(m=args.m, efficiency=args.eta, rng_seed=args.seed)
-    if args.records:
-        lines = [json.dumps(_header(args))]
-        for rec in simulate_shots(p, arr, args.shots):
-            lines.append(json.dumps(asdict(rec)))
-        _write("\n".join(lines) + "\n", args)
-        return
     if args.scan_n:
+        if args.records:
+            raise ValueError("--records needs --nc; --scan-n rows run at nc = N")
         sizes = [int(x) for x in args.scan_n.split(",")]
         scan = scan_photon_numbers(
             args.ns, args.nth, sizes, m=args.m, efficiency=args.eta, seed=args.seed,
-            shots=args.shots, schedule=schedule, bootstrap=args.bootstrap,
+            shots=args.shots, schedule=_parse_schedule(args.schedule),
+            bootstrap=args.bootstrap,
         )
         rows = [
             {
@@ -272,8 +266,17 @@ def cmd_simulate(args):
         ]
         _emit_csv(rows, args)
         return
+    p = _params(args)
+    arr = DetectorArray(m=args.m, efficiency=args.eta, rng_seed=args.seed)
+    if args.records:
+        lines = [json.dumps(_header(args))]
+        for rec in simulate_shots(p, arr, args.shots):
+            lines.append(json.dumps(asdict(rec)))
+        _write("\n".join(lines) + "\n", args)
+        return
     res = run_pair_tomography(
-        p, arr, shots_per_setting=args.shots, schedule=schedule, bootstrap=args.bootstrap
+        p, arr, shots_per_setting=args.shots, schedule=_parse_schedule(args.schedule),
+        bootstrap=args.bootstrap,
     )
     _emit_json(
         {
@@ -406,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_depth_contour)
 
     s = sub.add_parser("simulate", help="coincidence-detection Monte Carlo")
-    _add_params(s)
+    size = s.add_mutually_exclusive_group(required=True)  # one --nc, or N for each row
+    size.add_argument("--nc", type=float)
+    _add_params(s, nc=False)
     s.add_argument("--eta", type=float, default=1.0)
     s.add_argument("--m", type=int, default=2**20)
     s.add_argument("--shots", type=int, default=1000)
@@ -416,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'default' or a file with one setting label per line")
     s.add_argument("--records", action="store_true",
                    help="emit newline-delimited JSON shot records instead of a summary")
-    s.add_argument("--scan-n", dest="scan_n", default=None,
-                   help="comma list of photon numbers; emits the scaling CSV")
+    size.add_argument("--scan-n", dest="scan_n",
+                      help="comma list of photon numbers, each row at nc = N; "
+                           "emits the scaling CSV")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_simulate)
 

@@ -4,10 +4,11 @@ A collective spin built from spin-1/2 constituents with measured polarization
 and transverse noise admits a minimum cluster size: no partition into
 independent groups of fewer than k = 2J particles can reproduce a point
 (polarization, noise) outside the spin-J feasibility region.  The feasibility
-boundary is traced exactly for small J by diagonalizing ``j_x^2 - mu*j_z`` on
-a truncated magnetic-quantum-number ladder, and in closed form for large J
-through the bosonic (Holstein-Primakoff) limit, where the boundary state is
-squeezed vacuum in the defect mode.
+boundary is traced exactly for small J by one symmetric tridiagonal solve of
+``j_x^2 - mu*j_z`` on the block m = J, J - 2, ... that holds its ground
+state, and in closed form for large J through the bosonic
+(Holstein-Primakoff) limit, where the boundary state is squeezed vacuum in
+the defect mode.
 
 For the polarization-squeezed beam, 2<S_0>, <S_x> and var(S_z) play the roles
 of particle number, polarization and transverse noise.  Solving the
@@ -90,40 +91,26 @@ def macroscopic_fraction(ns: float, nth: float) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# exact small-J feasibility via truncated diagonalization
+# exact small-J feasibility via one tridiagonal block solve
 
 
-def _ground_pair(j: float, mu: float, d: int) -> tuple[float, float]:
-    """(<j_x^2>, <j_z>) of the ground state of j_x^2 - mu*j_z on m >= j - d."""
-    from scipy.linalg import eig_banded  # imported here: scipy.linalg is ~30 MiB
-    d = int(min(d, round(2 * j)))
-    m = j - np.arange(d + 1)
-    diag = (2 * j * (j + 1) - m * (m - 1) - m * (m + 1)) / 4.0 - mu * m
-    band = np.zeros((3, d + 1))
-    band[0] = diag
-    for k in range(max(0, d - 1)):
-        mm = m[k]
-        band[2, k] = (
-            math.sqrt((j * (j + 1) - mm * (mm - 1)) * (j * (j + 1) - (mm - 1) * (mm - 2)))
-            / 4.0
-        )
-    w, vec = eig_banded(band, lower=True, select="i", select_range=(0, 0))
-    jz = float(np.sum(vec[:, 0] ** 2 * m))
-    return float(w[0]) + mu * jz, jz
+def _ground_state(j: float, mu: float) -> tuple[float, float]:
+    """(<j_x^2>, <j_z>) of the ground state of j_x^2 - mu*j_z, mu > 0.
 
-
-def _ground_converged(j: float, mu: float, tol: float = 1e-10) -> tuple[float, float]:
-    d = 8
-    last = None
-    while True:
-        jx2, jz = _ground_pair(j, mu, d)
-        energy = jx2 - mu * jz
-        if last is not None and abs(energy - last) < tol:
-            return jx2, jz
-        last = energy
-        if d >= 2 * j:
-            return jx2, jz
-        d = min(int(round(2 * j)), 2 * d)
+    j_x^2 couples m only to m +- 2, so the Hamiltonian splits into two
+    tridiagonal blocks; for mu > 0 the ground state lies in the block
+    m = j, j - 2, ..., which is solved whole, without truncation.
+    """
+    from scipy.linalg import eigh_tridiagonal  # imported here: scipy.linalg is ~30 MiB
+    m = j - 2.0 * np.arange(int(round(2 * j)) // 2 + 1)
+    c = j * (j + 1)
+    diag = (c - m * m) / 2.0  # diagonal of j_x^2 on the block
+    mm = m[:-1]
+    off = np.sqrt((c - mm * (mm - 1)) * (c - (mm - 1) * (mm - 2))) / 4.0
+    _, vec = eigh_tridiagonal(diag - mu * m, off, select="i", select_range=(0, 0))
+    v = vec[:, 0]
+    # <j_x^2> from the vector, not from the energy: E + mu*<j_z> cancels at large mu
+    return float(v * v @ diag + 2.0 * (v[:-1] * v[1:]) @ off), float(v * v @ m)
 
 
 _MU_GRID = np.logspace(-4, 4, 400)
@@ -138,39 +125,45 @@ def boundary_curve(j: float) -> tuple[np.ndarray, np.ndarray]:
     zetas = np.empty(_MU_GRID.size)
     upsilons = np.empty(_MU_GRID.size)
     for i, mu in enumerate(_MU_GRID):
-        jx2, jz = _ground_converged(j, mu)
+        jx2, jz = _ground_state(j, mu)
         zetas[i] = jz / j
         upsilons[i] = jx2 / j
     order = np.argsort(zetas)
     return zetas[order], upsilons[order]
 
 
-def _upsilon_min(j: float, zeta: float) -> float:
-    """Boundary noise at polarization zeta, by bisection in the multiplier.
+def _admits(j: float, upsilon: float, zeta: float, tol: float) -> bool:
+    """Whether upsilon >= upsilon_min(zeta; j) - tol on the spin-j boundary.
 
-    The ground-state polarization grows monotonically with mu; outside the
-    swept mu range the nearest endpoint is used (below the range the
-    boundary is flat toward smaller zeta, above it the state is essentially
-    fully polarized).
+    upsilon_min is <j_x^2>/j of the ground state whose polarization is
+    zeta, found by bisection in the multiplier mu.  Both <j_z> and <j_x^2>
+    grow with mu (d<j_x^2>/dmu = mu d<j_z>/dmu >= 0), so the bisection stops
+    as soon as the noise at both bracket ends falls on one side of the test.
+    Outside the swept mu range the nearest endpoint is used (below the range
+    the boundary is flat toward smaller zeta, above it the state is
+    essentially fully polarized).
     """
     lo_mu, hi_mu = float(_MU_GRID[0]), float(_MU_GRID[-1])
-    jx2_lo, jz_lo = _ground_converged(j, lo_mu)
+    jx2_lo, jz_lo = _ground_state(j, lo_mu)
     if zeta <= jz_lo / j:
-        return jx2_lo / j
-    jx2_hi, jz_hi = _ground_converged(j, hi_mu)
+        return upsilon >= jx2_lo / j - tol
+    jx2_hi, jz_hi = _ground_state(j, hi_mu)
     if zeta >= jz_hi / j:
-        return jx2_hi / j
-    jx2 = jx2_lo
+        return upsilon >= jx2_hi / j - tol
     for _ in range(60):
+        if upsilon >= jx2_hi / j - tol:
+            return True
+        if upsilon < jx2_lo / j - tol:
+            return False
         mu = math.sqrt(lo_mu * hi_mu)
-        jx2, jz = _ground_converged(j, mu)
+        jx2, jz = _ground_state(j, mu)
         if jz / j < zeta:
-            lo_mu = mu
+            lo_mu, jx2_lo = mu, jx2
         else:
-            hi_mu = mu
+            hi_mu, jx2_hi = mu, jx2
         if hi_mu / lo_mu < 1 + 1e-12:
             break
-    return jx2 / j
+    return upsilon >= jx2 / j - tol
 
 
 def depth_exact_small_j(
@@ -185,19 +178,15 @@ def depth_exact_small_j(
     """
     if not 0 < zeta <= 1:
         raise ValueError("zeta must be in (0, 1]")
-
-    def admitted(j: float) -> bool:
-        return upsilon >= _upsilon_min(j, zeta) - tol
-
-    if admitted(0.5):
+    if _admits(0.5, upsilon, zeta, tol):
         return 0.5
     hi = int(round(2 * j_max))  # ladder index: j = hi / 2
-    if not admitted(hi / 2.0):
+    if not _admits(hi / 2.0, upsilon, zeta, tol):
         raise NotReachable(f"no j <= {j_max} admits (upsilon={upsilon}, zeta={zeta})")
     lo = 1  # j = 0.5 already rejected
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if admitted(mid / 2.0):
+        if _admits(mid / 2.0, upsilon, zeta, tol):
             hi = mid
         else:
             lo = mid
@@ -208,14 +197,14 @@ def min_jx2_at_defect(j: float, defect: float) -> float:
     """Exact boundary <j_x^2> at a prescribed polarization defect j - <j_z>.
 
     Bisects the multiplier mu until the ground-state defect matches; used to
-    compare the truncated diagonalization against the closed large-j form
+    compare the exact block diagonalization against the closed large-j form
     2<j_x^2>/j = 1 + 2 d - 2 sqrt(d (1 + d)).
     """
     lo_mu, hi_mu = 1e-6, 1e8
     jx2 = float("nan")
     for _ in range(200):
         mu = math.sqrt(lo_mu * hi_mu)
-        jx2, jz = _ground_converged(j, mu)
+        jx2, jz = _ground_state(j, mu)
         if j - jz > defect:
             lo_mu = mu
         else:

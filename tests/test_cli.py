@@ -127,8 +127,7 @@ def test_simulate_beyond_the_moment_limit_is_a_domain_error(capsys):
 def test_simulate_scans_photon_numbers_past_the_born_rule_limit(capsys):
     # N = 128 at ns = 0.3, where the Born-rule DA law was lost to cancellation
     code, out, _ = run_cli(
-        ["simulate", "--nc", "1", "--ns", "0.3", "--scan-n", "128", "--shots", "5",
-         "--bootstrap", "2"], capsys,
+        ["simulate", "--ns", "0.3", "--scan-n", "128", "--shots", "5", "--bootstrap", "2"], capsys,
     )
     assert code == 0
     header, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
@@ -147,11 +146,25 @@ def test_simulate_refuses_a_schedule_that_repeats_a_setting(tmp_path, capsys):
     assert json.loads(err)["error"] == "RepeatedSetting"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--nc", "1", "--scan-n", "16"], [], ["--scan-n", "4", "--records"]],
+    ids=["nc-and-scan", "neither", "records-of-a-scan"],
+)
+def test_simulate_takes_either_nc_or_a_scan(extra):
+    # scan rows run at nc = N, so a given --nc would be ignored
+    try:
+        code = main(["simulate", "--ns", "0.3", "--shots", "5", *extra])
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
+    assert code == 2
+
+
 def test_scan_row_without_a_signal_needs_infinite_shots(capsys):
     # unsqueezed light: delta_hat = 0 on these shots
     code, out, _ = run_cli(
-        ["simulate", "--nc", "1", "--ns", "0", "--scan-n", "2", "--shots", "2",
-         "--bootstrap", "2", "--seed", "9"], capsys,
+        ["simulate", "--ns", "0", "--scan-n", "2", "--shots", "2", "--bootstrap", "2",
+         "--seed", "9"], capsys,
     )
     assert code == 0
     header, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
@@ -178,8 +191,7 @@ def test_averaged_state_without_two_photon_weight_is_a_domain_error(capsys):
 
 def test_scan_rows_are_the_shared_photon_number_scan(capsys):
     code, out, _ = run_cli(
-        ["simulate", "--nc", "1", "--ns", "0.3", "--scan-n", "16,32", "--shots", "50",
-         "--bootstrap", "2"], capsys,
+        ["simulate", "--ns", "0.3", "--scan-n", "16,32", "--shots", "50", "--bootstrap", "2"], capsys,
     )
     assert code == 0
     header, *rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]

@@ -11,7 +11,7 @@ from polsqueeze import (
     min_jx2_at_defect,
     stokes_summary,
 )
-from polsqueeze.depth import boundary_curve, contour_data
+from polsqueeze.depth import _MU_GRID, _admits, _ground_state, boundary_curve, contour_data
 from polsqueeze.errors import NotReachable
 
 
@@ -82,11 +82,77 @@ def test_exact_boundary_matches_direct_two_level_minimization():
         vec = v[:, 0]
         jx2 = float(vec @ (jx @ jx) @ vec)
         jz_val = float(vec @ jz @ vec)
-        from polsqueeze.depth import _ground_converged
-
-        gx2, gz = _ground_converged(0.5, mu)
+        gx2, gz = _ground_state(0.5, mu)
         assert gx2 == pytest.approx(jx2, abs=1e-12)
         assert gz == pytest.approx(jz_val, abs=1e-12)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 7.5, 50.5, 200.0])
+def test_block_ground_state_matches_dense_full_ladder(j):
+    # the whole (2j+1)-level j_x^2 - mu*j_z, dense; the other block
+    # (m = j-1, j-3, ...) never has the lower ground energy
+    m = j - np.arange(int(round(2 * j)) + 1)
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)  # <m+1|j_+|m>
+    jx = (jp + jp.T) / 2.0
+    jx2 = jx @ jx
+    for mu in np.logspace(-6, 8, 15):
+        h = jx2 - mu * np.diag(m)
+        _, v = np.linalg.eigh(h)
+        g = v[:, 0]
+        gx2, gz = _ground_state(j, mu)
+        assert gx2 == pytest.approx(g @ jx2 @ g, abs=1e-9)
+        assert gz / j == pytest.approx(g @ (m * g) / j, abs=1e-9)
+        if m.size > 1:
+            assert np.linalg.eigvalsh(h[1::2, 1::2])[0] >= gx2 - mu * gz
+
+
+def _upsilon_min_full(j, zeta):
+    """Boundary noise at polarization zeta: the bisection run to its end."""
+    lo_mu, hi_mu = float(_MU_GRID[0]), float(_MU_GRID[-1])
+    jx2_lo, jz_lo = _ground_state(j, lo_mu)
+    if zeta <= jz_lo / j:
+        return jx2_lo / j
+    jx2_hi, jz_hi = _ground_state(j, hi_mu)
+    if zeta >= jz_hi / j:
+        return jx2_hi / j
+    for _ in range(60):
+        mu = math.sqrt(lo_mu * hi_mu)
+        jx2, jz = _ground_state(j, mu)
+        if jz / j < zeta:
+            lo_mu = mu
+        else:
+            hi_mu = mu
+        if hi_mu / lo_mu < 1 + 1e-12:
+            break
+    return jx2 / j
+
+
+def test_early_stopped_admission_equals_full_bisection():
+    tol = 1e-9
+    for j in (0.5, 1.0, 2.5, 10.0, 40.5):
+        for zeta in (1e-6, 0.2, 0.7, 0.95, 0.999, 1.0):
+            u_min = _upsilon_min_full(j, zeta)
+            for du in (-1e-2, -1e-6, -3e-7, 0.0, 3e-7, 1e-6, 1e-2):
+                upsilon = u_min + du
+                assert _admits(j, upsilon, zeta, tol) == (upsilon >= u_min - tol)
+
+
+def _exact_inputs(p):
+    """(upsilon, zeta, j_max, tol) of depth_exact_small_j for a squeezed beam."""
+    r = depth_large_j(p)
+    st = stokes_summary(p)
+    j_implied = r.k / 2.0
+    tol = 5 * math.sqrt(r.defect) / (2 * j_implied) / 2.0
+    return r.v, st.sx / st.s0, 2 * j_implied + 5, tol
+
+
+@pytest.mark.parametrize(
+    "nc, ns, nth, j_exact",
+    [(250.0, 0.04, 0.015, 72.0), (400.0, 0.06, 0.02, 118.5), (550.0, 0.075, 0.025, 159.0)],
+)
+def test_exact_depth_at_fig2_anchors(nc, ns, nth, j_exact):
+    upsilon, zeta, j_max, tol = _exact_inputs(StateParams(nc, ns, nth))
+    assert depth_exact_small_j(upsilon, zeta, j_max=j_max, tol=tol) == j_exact
 
 
 def test_footnote_error_bound():
@@ -104,10 +170,8 @@ def test_large_j_and_exact_estimators_consistent():
     assert r.k > 1.0
     j_implied = r.k / 2.0
     assert j_implied <= 200
-    st = stokes_summary(p)
-    zeta = st.sx / st.s0
-    tol = 5 * math.sqrt(r.defect) / (2 * j_implied) / 2.0
-    j_exact = depth_exact_small_j(r.v, zeta, j_max=2 * j_implied + 5, tol=tol)
+    upsilon, zeta, j_max, tol = _exact_inputs(p)
+    j_exact = depth_exact_small_j(upsilon, zeta, j_max=j_max, tol=tol)
     assert j_exact <= j_implied * 1.05 + 1.0
 
 
