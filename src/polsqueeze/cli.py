@@ -239,9 +239,11 @@ def _parse_schedule(sched: str):
         from .detect import DEFAULT_SCHEDULE
 
         return DEFAULT_SCHEDULE
-    with open(sched) as fh:
-        labels = [line.strip() for line in fh if line.strip()]
-    return tuple(labels)
+    try:
+        with open(sched) as fh:
+            return tuple(line.strip() for line in fh if line.strip())
+    except OSError as exc:
+        raise ValueError(f"cannot read --schedule {sched!r}: {exc.strerror}") from None
 
 
 def cmd_simulate(args):

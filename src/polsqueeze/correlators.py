@@ -14,6 +14,7 @@ real and negative), and ``<a^2>`` comes out positive.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -201,16 +202,17 @@ class CorrelationTable:
             v1 = v2
 
 
-_TABLES: dict[tuple[float, float], CorrelationTable] = {}
+# The full test suite looks up 168 distinct tables and uses at most 127 others
+# between two uses of one table, so 256 keeps every reuse, while runs over ever
+# new (ns, nth) stop growing.
+@functools.lru_cache(maxsize=256)
+def _table(ns: float, nth: float) -> CorrelationTable:
+    return CorrelationTable(StateParams(0.0, ns, nth))
 
 
 def table_for(params: StateParams) -> CorrelationTable:
-    """Shared `CorrelationTable` for (ns, nth); nc plays no role here."""
-    key = (float(params.ns), float(params.nth))
-    tab = _TABLES.get(key)
-    if tab is None:
-        tab = _TABLES[key] = CorrelationTable(params)
-    return tab
+    """Shared `CorrelationTable` for (ns, nth), one of the 256 last used; nc plays no role."""
+    return _table(float(params.ns), float(params.nth))
 
 
 def correlation(params: StateParams, m: int, n: int):

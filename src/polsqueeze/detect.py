@@ -22,9 +22,9 @@ two-photon matrix; bootstrap resampling of shots provides standard errors.
 A shot enters only through (n_detected, ones, collided): `run_pair_tomography`
 keeps these per-shot arrays from the block generator and builds no
 `ShotRecord`, while `reconstruct_two_body` reduces its records to the same
-arrays, so both give identical results on the same shots.  Each bootstrap
-resample is summed as the multiplicities of the distinct pair rows times those
-rows, which is exact because the rows are integer-valued.
+arrays, so both give identical results on the same shots.  All bootstrap
+resamples of a setting are one multinomial draw of its (n_detected, ones)
+group multiplicities; their sums are exact, as the pair rows are integers.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class ShotRecord:
         return sum(b for _, b in self.outcomes)
 
 
-@dataclass
+@dataclass(slots=True)
 class TomographyResult:
     matrix: TwoBodyOdm
     entry_se: np.ndarray
@@ -313,20 +313,23 @@ def _shot_array(records) -> np.ndarray:
     ).reshape(-1, 3)
 
 
-def _pair_counts(shots: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Per usable shot ordered-pair outcome counts (n00, n01, n10, n11).
+def _pair_counts(shots: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Distinct ordered-pair outcome rows (n00, n01, n10, n11) of the usable shots.
 
-    ``shots`` is an (S, 3) array of (n_detected, ones, collided).  Returns
-    the rows with the collided and the excluded (collided or fewer than two
-    photons) shot counts.
+    ``shots`` is an (S, 3) array of (n_detected, ones, collided).  Returns the
+    rows in (n, ones) order, the shots giving each, and the collided and the
+    excluded (collided or fewer than two photons) shot counts.
     """
     n, v, collided = shots.T
     usable = (collided == 0.0) & (n >= 2.0)
     if not usable.any():
         raise InvalidShotCount("no usable shots (all collided or below 2 photons)")
-    h, v = n[usable] - v[usable], v[usable]
+    n, v = n[usable], v[usable]
+    key = n * (v.max() - v.min() + 1.0) + (v - v.min())  # one-to-one on integer pairs
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    h, v = n[first] - v[first], v[first]
     rows = np.stack([h * (h - 1.0), h * v, v * h, v * (v - 1.0)], axis=1)
-    return rows, int(collided.sum()), len(shots) - int(usable.sum())
+    return rows, counts, int(collided.sum()), len(shots) - int(usable.sum())
 
 
 def _reconstruct(
@@ -334,38 +337,26 @@ def _reconstruct(
 ) -> TomographyResult:
     """Linear inversion and bootstrap from (S, 3) shot arrays per setting.
 
-    A pair row depends only on (n_detected, ones), so each setting's usable
-    shots are grouped by distinct row and a resample is summed as its group
-    multiplicities times the distinct rows.  The rows are integer-valued, so
-    every sum is exact and equals the plain sum over the resampled shots.
+    Resampling a setting's S usable shots with replacement draws its distinct
+    rows Multinomial(S, counts / S) times, so all resamples of a setting are
+    one multinomial draw, setting by setting in schedule order.  The rows are
+    integer-valued, so multiplicities times rows equal the plain sum over the
+    resampled shots exactly.
     """
     if bootstrap < 2:
         raise InvalidShotCount(f"bootstrap needs >= 2 resamples, got {bootstrap}")
     design = _x_state_design(schedule)
     no_shots = np.empty((0, 3))
-    groups, collided, excluded = {}, 0, 0  # label -> (distinct rows, row of each shot)
-    for label in schedule:
-        rows, coll, excl = _pair_counts(shots_by_setting.get(label, no_shots))
-        groups[label] = np.unique(rows, axis=0, return_inverse=True)
-        collided += coll
-        excluded += excl
-    total_shots = sum(len(shots_by_setting.get(lab, no_shots)) for lab in schedule)
-
-    def multiplicity(label, picks):
-        distinct, group = groups[label]
-        return np.bincount(group[picks], minlength=len(distinct))
-
-    size = {lab: len(group) for lab, (_, group) in groups.items()}
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    mult = {lab: [multiplicity(lab, slice(None))] for lab in groups}
-    for _ in range(bootstrap):
-        for lab in schedule:  # one draw per setting, in schedule order
-            mult[lab].append(multiplicity(lab, rng.integers(0, size[lab], size=size[lab])))
-    sums = {lab: np.array(m) @ groups[lab][0] for lab, m in mult.items()}
-    freqs = np.concatenate(
-        [sums[lab] / sums[lab].sum(axis=1, keepdims=True) for lab in schedule], axis=1
-    )
-    mats = _theta_to_matrix(freqs @ np.linalg.pinv(design).T)
+    freqs, collided, excluded = [], 0, 0
+    for label in schedule:
+        rows, counts, coll, excl = _pair_counts(shots_by_setting.get(label, no_shots))
+        draws = rng.multinomial(counts.sum(), counts / counts.sum(), size=bootstrap)
+        sums = np.vstack([counts, draws]) @ rows
+        freqs.append(sums / sums.sum(axis=1, keepdims=True))
+        collided, excluded = collided + coll, excluded + excl
+    total_shots = sum(len(shots_by_setting.get(lab, no_shots)) for lab in schedule)
+    mats = _theta_to_matrix(np.concatenate(freqs, axis=1) @ np.linalg.pinv(design).T)
     tr = np.trace(mats, axis1=1, axis2=2)
     mats /= np.where(tr > 0, tr, 1.0)[:, None, None]
     deltas = np.abs(mats[:, 0, 3]) - mats[:, 1, 2]

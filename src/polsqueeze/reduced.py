@@ -42,6 +42,8 @@ class TwoBodyOdm:
     matrix.
     """
 
+    __slots__ = ("matrix", "n")
+
     def __init__(self, matrix: np.ndarray, n: int | None):
         self.matrix = np.asarray(matrix, dtype=float)
         self.n = n

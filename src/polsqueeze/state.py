@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateParams:
     """Mean photon numbers of the coherent (H) and squeezed-thermal (V) beams."""
 

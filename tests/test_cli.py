@@ -146,6 +146,16 @@ def test_simulate_refuses_a_schedule_that_repeats_a_setting(tmp_path, capsys):
     assert json.loads(err)["error"] == "RepeatedSetting"
 
 
+def test_simulate_refuses_an_unreadable_schedule_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["simulate", "--nc", "2", "--ns", "0.3", "--shots", "5",
+         "--schedule", str(tmp_path / "missing.txt")], capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--nc", "1", "--scan-n", "16"], [], ["--scan-n", "4", "--records"]],

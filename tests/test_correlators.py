@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -149,3 +153,23 @@ def test_table_memoization_is_stable():
     a = table.value(6, 6)
     b = table.value(6, 6)
     assert a == b
+
+
+def test_shared_tables_are_bounded_and_recent_ones_reused():
+    # a fresh interpreter, so the shared tables of this session stay warm
+    code = (
+        "import gc, weakref\n"
+        "from polsqueeze import StateParams\n"
+        "from polsqueeze.correlators import table_for\n"
+        "keys = [StateParams(1.0, 0.1 + k / 1000, 0.0) for k in range(300)]\n"
+        "refs = [weakref.ref(table_for(p)) for p in keys]\n"
+        "gc.collect()\n"
+        "print(sum(r() is not None for r in refs), table_for(keys[-1]) is refs[-1]())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    alive, reused = out.stdout.split()
+    assert int(alive) <= 256
+    assert reused == "True"

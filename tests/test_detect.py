@@ -178,52 +178,67 @@ def test_reconstruction_on_hand_built_records():
 
     shots = {
         "HV": [rec((1, 0, 0)), rec((1, 1), (5, 5), collided=True), rec((0,)), rec(()),
-               rec((1, 1, 0, 0))],
+               rec((1, 1, 0, 0)), rec((0, 0, 1))],
         "DA": [rec((0, 0)), rec((1, 0, 1)), rec((1, 0, 0), (2, 2, 7), collided=True)],
         "RL": [rec((1,)), rec((0, 1, 1, 1)), rec((1, 1, 1))],
     }
-    # (h(h-1), hv, vh, v(v-1)) per usable shot, h = n - ones, v = ones
+    # distinct (h(h-1), hv, vh, v(v-1)) of the usable shots in (n, ones) order,
+    # h = n - ones, v = ones, and how many shots give each
     expect = {
-        "HV": [[2, 2, 2, 0], [2, 4, 4, 2]],
-        "DA": [[2, 0, 0, 0], [0, 2, 2, 2]],
-        "RL": [[0, 3, 3, 6], [0, 0, 0, 6]],
+        "HV": ([[2, 2, 2, 0], [2, 4, 4, 2]], [2, 1]),
+        "DA": ([[2, 0, 0, 0], [0, 2, 2, 2]], [1, 1]),
+        "RL": ([[0, 0, 0, 6], [0, 3, 3, 6]], [1, 1]),
     }
     for label, recs in shots.items():
-        rows, collided, excluded = _pair_counts(_shot_array(recs))
-        assert rows.tolist() == expect[label]
+        rows, counts, collided, excluded = _pair_counts(_shot_array(recs))
+        assert (rows.tolist(), counts.tolist()) == expect[label]
         assert (collided, excluded) == {"HV": (1, 3), "DA": (1, 1), "RL": (0, 1)}[label]
     res = reconstruct_two_body(shots, bootstrap=5)
-    assert res.collision_fraction == 2 / 11
-    assert res.excluded_fraction == 5 / 11
-    assert res.shots_per_setting == {"HV": 5, "DA": 3, "RL": 3}
-    freqs = np.concatenate(
-        [np.sum(expect[lab], axis=0) / np.sum(expect[lab]) for lab in DEFAULT_SCHEDULE]
-    )
+    assert res.collision_fraction == 2 / 12
+    assert res.excluded_fraction == 5 / 12
+    assert res.shots_per_setting == {"HV": 6, "DA": 3, "RL": 3}
+    sums = {lab: np.array(expect[lab][1]) @ expect[lab][0] for lab in DEFAULT_SCHEDULE}
+    freqs = np.concatenate([sums[lab] / sums[lab].sum() for lab in DEFAULT_SCHEDULE])
     assert freqs.tolist() == [
-        4 / 18, 6 / 18, 6 / 18, 2 / 18, 2 / 8, 2 / 8, 2 / 8, 2 / 8, 0, 3 / 18, 3 / 18, 12 / 18
+        6 / 24, 8 / 24, 8 / 24, 2 / 24, 2 / 8, 2 / 8, 2 / 8, 2 / 8, 0, 3 / 18, 3 / 18, 12 / 18
     ]
     theta, *_ = np.linalg.lstsq(_x_state_design(DEFAULT_SCHEDULE), freqs, rcond=None)
     mat = _theta_to_matrix(theta)
     assert res.matrix.matrix == pytest.approx(mat / np.trace(mat), abs=1e-14)
 
 
-def _per_shot_reconstruction(shots_by_setting, schedule, bootstrap, seed):
-    """The bootstrap as a sum over the resampled shots' pair rows, rep by rep."""
-    counts = {lab: _pair_counts(shots_by_setting[lab])[0] for lab in schedule}
+def _usable_rows(shots):
+    """(n, ones) and the pair row (h(h-1), hv, vh, v(v-1)) of each usable shot."""
+    usable = shots[(shots[:, 2] == 0.0) & (shots[:, 0] >= 2.0), :2]
+    h, v = usable[:, 0] - usable[:, 1], usable[:, 1]
+    return usable, np.stack([h * (h - 1.0), h * v, v * h, v * (v - 1.0)], axis=1)
 
-    def freqs(sel):
-        return np.concatenate([sel[lab].sum(axis=0) / sel[lab].sum() for lab in schedule])
 
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
-    reps = [freqs(counts)] + [
-        freqs({lab: counts[lab][rng.integers(0, len(counts[lab]), size=len(counts[lab]))]
-               for lab in schedule})
-        for _ in range(bootstrap)
-    ]
+def _matrices(reps, schedule):
     mats = _theta_to_matrix(np.array(reps) @ np.linalg.pinv(_x_state_design(schedule)).T)
     tr = np.trace(mats, axis1=1, axis2=2)
     mats /= np.where(tr > 0, tr, 1.0)[:, None, None]
-    deltas = np.abs(mats[:, 0, 3]) - mats[:, 1, 2]
+    return mats, np.abs(mats[:, 0, 3]) - mats[:, 1, 2]
+
+
+def _expanded_reconstruction(shots_by_setting, schedule, bootstrap, seed):
+    """The bootstrap as sums over resampled shots: each resample's multiplicities
+    of the distinct (n, ones) groups, drawn as the library draws them, are
+    expanded into picks of random shots of each group."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
+    pick = np.random.default_rng(seed)
+    freqs = []
+    for lab in schedule:
+        pairs, rows = _usable_rows(shots_by_setting[lab])
+        _, group, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+        members = [np.flatnonzero(group.ravel() == g) for g in range(len(counts))]
+        mult = rng.multinomial(len(rows), counts / len(rows), size=bootstrap)
+        sums = np.array([rows.sum(axis=0)] + [
+            rows[np.concatenate([pick.choice(m, size=k) for m, k in zip(members, ks)])].sum(axis=0)
+            for ks in mult
+        ])
+        freqs.append(sums / sums.sum(axis=1, keepdims=True))
+    mats, deltas = _matrices(np.concatenate(freqs, axis=1), schedule)
     return mats[0], mats[1:].std(axis=0, ddof=1), deltas[0], deltas[1:].std(ddof=1)
 
 
@@ -244,15 +259,42 @@ def _shot_rows(n_max):
     bootstrap=st.integers(2, 12),
     seed=st.integers(0, 2**32),
 )
-def test_grouped_bootstrap_equals_per_shot_sums(shots, schedule, bootstrap, seed):
+def test_multinomial_bootstrap_equals_sums_over_resampled_shots(shots, schedule, bootstrap, seed):
     by_label = dict(zip(("HV", "DA", "RL"), shots))
     res = _reconstruct(by_label, schedule, bootstrap, seed)
-    matrix, entry_se, delta_hat, delta_se = _per_shot_reconstruction(
+    matrix, entry_se, delta_hat, delta_se = _expanded_reconstruction(
         by_label, schedule, bootstrap, seed
     )
     assert res.matrix.matrix.tobytes() == matrix.tobytes()
     assert res.entry_se.tobytes() == entry_se.tobytes()
     assert (res.delta_hat, res.delta_se) == (delta_hat, delta_se)
+
+
+def test_multinomial_bootstrap_has_the_law_of_index_resampling():
+    # Efron's bootstrap draws S shot indices with replacement per resample; with
+    # B = 4000 resamples each se estimate scatters by about 1/sqrt(2B) = 1.1 %
+    # relative, so the two differ by about 1.6 %.  Over six seed pairs on this
+    # data the gap read at most 1.6 % on delta_se and 4.2 % on the diagonal
+    # entries, whose bootstrap laws have heavier tails.
+    p = StateParams(6.0, 0.3, 0.0)
+    shots = {
+        lab: _shot_array(simulate_shots(p, DetectorArray(64, 0.7, lab, 11 + k), 300))
+        for k, lab in enumerate(DEFAULT_SCHEDULE)
+    }
+    bootstrap = 4000
+    res = _reconstruct(shots, DEFAULT_SCHEDULE, bootstrap, seed=2)
+    rng = np.random.default_rng(3)
+    rows = {lab: _usable_rows(shots[lab])[1] for lab in DEFAULT_SCHEDULE}
+    reps = []
+    for _ in range(bootstrap):
+        sums = [rows[lab][rng.integers(0, len(rows[lab]), size=len(rows[lab]))].sum(axis=0)
+                for lab in DEFAULT_SCHEDULE]
+        reps.append(np.concatenate([x / x.sum() for x in sums]))
+    mats, deltas = _matrices(reps, DEFAULT_SCHEDULE)
+    assert res.delta_se == pytest.approx(deltas.std(ddof=1), rel=0.05)
+    assert res.entry_se[[0, 1, 3], [0, 1, 3]] == pytest.approx(
+        mats.std(axis=0, ddof=1)[[0, 1, 3], [0, 1, 3]], rel=0.08
+    )
 
 
 @pytest.mark.parametrize(
@@ -439,10 +481,10 @@ def test_rotated_count_law_matches_dense_born_rule(label):
 
 
 def test_count_laws_build_no_correlator_tables():
-    before = set(correlators._TABLES)
+    before = correlators._table.cache_info()
     for label in ("HV", "DA", "RL"):
         _count_laws(StateParams(6.0, 0.2345678, 0.0123), label, 30)
-    assert set(correlators._TABLES) == before
+    assert correlators._table.cache_info() == before
 
 
 def _born_law_mpmath(p, label, n, dps=80):
